@@ -1,10 +1,11 @@
 /**
  * @file
  * Shared helpers for the experiment harnesses. Each bench binary
- * regenerates one table or figure of the paper; the run plumbing
- * (quick mode, banner, sweep driver) and the flag grammar live in
- * src/exp/ and are shared with the config-driven xisa_exp runner, so
- * a conf that mirrors a bench reproduces its stdout byte-for-byte.
+ * regenerates one table or figure of the paper that has no checked-in
+ * conf (Figs. 6-9, Fig. 12, rack scale and serving run through
+ * `xisa_exp examples/confs/<name>.conf`); the run plumbing (quick
+ * mode, banner, sweep driver) and the flag grammar live in src/exp/
+ * and are shared with xisa_exp.
  *
  * Set XISA_QUICK=1 in the environment (or pass --quick where enabled)
  * to shrink sweeps; the full sweeps match the paper's configurations.
@@ -30,19 +31,16 @@ namespace xisa::bench {
 using xisa::exp::banner;
 using xisa::exp::quickMode;
 using xisa::exp::runSingleNode;
-using xisa::exp::runSweep;
-using xisa::exp::sweepThreads;
 
 using xisa::exp::kOptConfig;
 using xisa::exp::kOptFault;
 using xisa::exp::kOptObs;
-using xisa::exp::kOptPerfJson;
 using xisa::exp::kOptQuick;
 using xisa::exp::Options;
 using xisa::exp::parseCommonArgs;
 using xisa::exp::writeOutputs;
 
-/** Thread sweep used by Figs. 1 and 6-9. */
+/** Thread sweep used by Fig. 1. */
 inline std::vector<int>
 threadSweep()
 {

@@ -103,9 +103,8 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
     // Compile each unique (workload, class, threads) module once --
     // the node axis reuses the same binaries -- and give every binary
     // an ExecCache so the cells executing it share predecoded streams
-    // and lowered superblocks (DESIGN.md §10). Mirrors the legacy
-    // bench_fig06 harness; output is unaffected (artifacts are
-    // deterministic per binary and timing signature).
+    // and lowered superblocks (DESIGN.md §10). Output is unaffected
+    // (artifacts are deterministic per binary and timing signature).
     struct Compiled {
         MultiIsaBinary base;
         MultiIsaBinary inst;

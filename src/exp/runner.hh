@@ -2,9 +2,7 @@
  * @file
  * Drives a parsed ExperimentSpec end to end: instantiates the nodes,
  * OS containers, cluster simulator, and scheduler policies the spec
- * describes and reproduces the paper-style report of the matching
- * legacy bench -- byte-identically, which the conf-equivalence tests
- * pin against the original binaries.
+ * describes and prints the paper-style report of its figure.
  */
 
 #ifndef XISA_EXP_RUNNER_HH

@@ -1,13 +1,8 @@
 /**
  * @file
- * Run-plumbing shared by the legacy bench harnesses and the
- * config-driven xisa_exp runner: quick-mode detection, the parallel
- * sweep driver, the paper-artifact banner, and single-node execution.
- *
- * Moved here from bench/common.hh so the runner and the benches use
- * the exact same code paths -- the conf-vs-legacy equivalence tests
- * compare stdout byte-for-byte, which only holds if both sides share
- * one sweep driver and one banner.
+ * Run-plumbing shared by the bench harnesses and the config-driven
+ * xisa_exp runner: quick-mode detection, the parallel sweep driver,
+ * the paper-artifact banner, and single-node execution.
  */
 
 #ifndef XISA_EXP_SWEEP_HH

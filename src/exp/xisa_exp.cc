@@ -1,14 +1,15 @@
 /**
  * @file
- * The config-driven experiment runner. Every experiment the legacy
- * bench binaries hard-code -- and new ones -- is a `.conf` file:
+ * The config-driven experiment runner: every experiment with a
+ * checked-in `.conf` -- Figs. 6-9, Fig. 12, the rack-scale projection,
+ * SLO serving, and new ones -- runs through this one driver:
  *
  *     xisa_exp examples/confs/fig12_sustained.conf
  *     xisa_exp --print-spec FILE     # canonical spec, defaults shown
  *     xisa_exp --list-workloads      # registry contents
  *
- * The report of a conf that mirrors a legacy bench is byte-identical
- * to that bench's stdout (pinned by the conf-equivalence tests).
+ * The quick-mode reports of the paper's confs are pinned byte-for-byte
+ * by the golden guards in tests/goldens/.
  */
 
 #include <cstdio>
@@ -23,9 +24,7 @@ main(int argc, char **argv)
     Options opts = parseCommonArgs(
         argc, argv,
         kOptObs | kOptQuick | kOptPerfJson | kOptSpecTools,
-        "  FILE                 experiment .conf to run\n"
-        "  --print-spec         parse FILE, print the canonical spec\n"
-        "  --list-workloads     print the workload registry and exit\n");
+        "  FILE                 experiment .conf to run\n");
 
     try {
         if (opts.listWorkloads) {

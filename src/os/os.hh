@@ -82,7 +82,7 @@ struct OsConfig {
     /**
      * Optional shared cache of predecoded streams and lowered
      * superblocks (DESIGN.md §10). Sweep drivers that construct many
-     * containers from one binary (bench::runSweep) hand the same cache
+     * containers from one binary (the overhead runner) hand the same cache
      * to every container, so each (ISA, function, timing-signature)
      * artifact is built once per process instead of once per cell.
      * Null (the default) keeps per-interpreter private artifacts.

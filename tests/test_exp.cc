@@ -6,6 +6,11 @@
  * experiment specs (defaults, validation, serialize round-trip).
  */
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "exp/config.hh"
@@ -623,6 +628,26 @@ TEST(Spec, SerializeRoundTripTopology)
         "rack_hop_us = 5.0\nagg_hop_us = 20.0\n"
         "locality_bias = 0.5\n",
         "topo-roundtrip");
+}
+
+TEST(Spec, CheckedInConfsRoundTrip)
+{
+    // Every conf under examples/confs/ must parse, validate, and have
+    // a canonical form that is a fixed point.
+    std::vector<std::filesystem::path> confs;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(XISA_CONF_DIR))
+        if (entry.path().extension() == ".conf")
+            confs.push_back(entry.path());
+    std::sort(confs.begin(), confs.end());
+    ASSERT_FALSE(confs.empty()) << "no .conf files in " << XISA_CONF_DIR;
+    for (const std::filesystem::path &path : confs) {
+        std::ifstream f(path);
+        ASSERT_TRUE(f.is_open()) << "cannot read " << path;
+        std::stringstream text;
+        text << f.rdbuf();
+        expectRoundTrip(text.str(), path.c_str());
+    }
 }
 
 } // namespace

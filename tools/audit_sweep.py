@@ -2,7 +2,7 @@
 """Seeded perturbation sweep with the invariant auditor armed.
 
 For each seed, runs the audit probe and the Fig. 12/13 scheduling
-benches with XISA_AUDIT=1 and XISA_PERTURB=<seed>: the perturber
+studies with XISA_AUDIT=1 and XISA_PERTURB=<seed>: the perturber
 reshapes interconnect delivery, migration timing, and crash instants,
 and the auditor panics on the first violated invariant with a replay
 line identifying the seed. This is how the latent-bug hunt is mechanized
@@ -27,51 +27,54 @@ VIOLATION_RE = re.compile(r"\[audit\] VIOLATION at ([^:]+): (.*)")
 TRACE_DUMP_RE = re.compile(r"xisa_audit_violation_\d+\.trace\.json")
 
 
+def require(path, why):
+    """Exit 2 unless `path` exists: a missing binary or conf must fail
+    the sweep loudly, never silently drop its leg."""
+    if not os.path.exists(path):
+        print(f"audit_sweep: {path} not found ({why})", file=sys.stderr)
+        sys.exit(2)
+    return path
+
+
 def commands(build_dir, crash, confs_dir=None, fleet=False):
     """The per-seed command matrix: probe first (fast, focussed), then
-    the paper's scheduling benches in quick mode. With --crash the
-    matrix is the node-failure recovery scenario instead: the probe's
-    crash legs (byte-identity against a crash-free run with the auditor
-    armed) plus the crashy sustained bench. With --confs DIR, every
-    .conf in DIR runs through xisa_exp under the same audit/perturb
-    environment, so config-driven experiments join the hunt. With
-    --fleet the matrix is the 1000-machine rack-outage conf alone:
-    each seed reshapes the request stream (the runner folds
+    the paper's scheduling studies in quick mode (Fig. 12 through
+    xisa_exp and its checked-in conf, Fig. 13 through its bench). With
+    --crash the matrix is the node-failure recovery scenario instead:
+    the probe's crash legs (byte-identity against a crash-free run with
+    the auditor armed) plus the crashy sustained bench. With --confs
+    DIR, every .conf in DIR runs through xisa_exp under the same
+    audit/perturb environment, so config-driven experiments join the
+    hunt. With --fleet the matrix is the 1000-machine rack-outage conf
+    alone: each seed reshapes the request stream (the runner folds
     XISA_PERTURB into the traffic seed) against the same outage plan,
-    with the auditor armed throughout."""
+    with the auditor armed throughout. Confs are found relative to the
+    repo root, so run from there."""
     probe = os.path.join(build_dir, "src", "check", "audit_probe")
+    runner = os.path.join(build_dir, "src", "exp", "xisa_exp")
+    confs = os.path.join("examples", "confs")
     if fleet:
-        runner = os.path.join(build_dir, "src", "exp", "xisa_exp")
-        if not os.path.exists(runner):
-            print(f"audit_sweep: {runner} not built but --fleet given",
-                  file=sys.stderr)
-            sys.exit(2)
-        conf = os.path.join("examples", "confs",
-                            "fleet_rack_outage.conf")
-        if not os.path.exists(conf):
-            print(f"audit_sweep: {conf} not found (run --fleet from "
-                  "the repo root)", file=sys.stderr)
-            sys.exit(2)
+        require(runner, "build the xisa_exp target")
+        conf = require(os.path.join(confs, "fleet_rack_outage.conf"),
+                       "run from the repo root")
         return [("fleet_rack_outage", [runner, conf])]
+    require(probe, "build the audit_probe target")
     if crash:
-        cmds = [("audit_probe_crash", [probe, "--crash"])]
-        bench = os.path.join(build_dir, "bench", "bench_fault_sustained")
-        if os.path.exists(bench):
-            cmds.append(("fault_sustained_crash",
-                         [bench, "--fault-crash=1@40"]))
-        return cmds
-    fig12 = os.path.join(build_dir, "bench", "bench_fig12_sustained")
-    fig13 = os.path.join(build_dir, "bench", "bench_fig13_periodic")
-    cmds = [("audit_probe", [probe])]
-    for name, path in (("fig12", fig12), ("fig13", fig13)):
-        if os.path.exists(path):
-            cmds.append((name, [path]))
+        bench = require(os.path.join(build_dir, "bench",
+                                     "bench_fault_sustained"),
+                        "build the bench_fault_sustained target")
+        return [("audit_probe_crash", [probe, "--crash"]),
+                ("fault_sustained_crash", [bench, "--fault-crash=1@40"])]
+    require(runner, "build the xisa_exp target")
+    fig12 = require(os.path.join(confs, "fig12_sustained.conf"),
+                    "run from the repo root")
+    fig13 = require(os.path.join(build_dir, "bench",
+                                 "bench_fig13_periodic"),
+                    "build the bench_fig13_periodic target")
+    cmds = [("audit_probe", [probe]),
+            ("fig12", [runner, fig12]),
+            ("fig13", [fig13])]
     if confs_dir:
-        runner = os.path.join(build_dir, "src", "exp", "xisa_exp")
-        if not os.path.exists(runner):
-            print(f"audit_sweep: {runner} not built but --confs given",
-                  file=sys.stderr)
-            sys.exit(2)
         for entry in sorted(os.listdir(confs_dir)):
             if not entry.endswith(".conf"):
                 continue
@@ -145,10 +148,6 @@ def main():
         print("audit_sweep: --seeds must be >= 1", file=sys.stderr)
         sys.exit(2)
     cmds = commands(args.build_dir, args.crash, args.confs, args.fleet)
-    if not os.path.exists(cmds[0][1][0]):
-        print(f"audit_sweep: {cmds[0][1][0]} not built "
-              "(build the audit_probe target first)", file=sys.stderr)
-        sys.exit(2)
 
     failures = []
     for i in range(args.seeds):

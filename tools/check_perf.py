@@ -17,18 +17,15 @@ baseline (bench/baselines/BENCH_interp.json):
     it cannot be eroded by repeatedly re-baselining on slower runs --
     dropping below the floor fails no matter what the baseline says.
 
-With --conf EXPERIMENT.conf the fresh JSON is additionally checked
-against the experiment spec it claims to implement: the row set must be
-exactly the conf's (workloads x isas x classes x threads) sweep for the
-JSON's mode, so a bench and its conf cannot drift apart silently.
+Every gated JSON is written by `xisa_exp --json` from a checked-in
+conf, and its row (or scenario, or pool) set must equal the baseline's
+exactly.
 
-Serving-kind JSONs (rows keyed by "scenario", from bench_serving /
-serving confs) are gated differently: the deterministic counts
-(requests, slo_violations, migrations, failovers) must match the
-baseline EXACTLY, while the tail percentiles are allowed to drift up to
---max-p99-regression (default 10%) before the gate fails -- improving
-the tail never fails. With --conf the scenario set must match the conf
-(static always, migrate iff the conf has a migrate_plan).
+Serving-kind JSONs (rows keyed by "scenario", from serving confs) are
+gated differently: the deterministic counts (requests, slo_violations,
+migrations, failovers) must match the baseline EXACTLY, while the tail
+percentiles are allowed to drift up to --max-p99-regression (default
+10%) before the gate fails -- improving the tail never fails.
 
 Fleet-kind JSONs (rows keyed by "pool", from rack/fleet confs run
 through xisa_exp --json) carry the event-driven cluster scheduler's
@@ -46,11 +43,7 @@ Exit status: 0 ok, 1 regression/mismatch, 2 usage error.
 
 import argparse
 import json
-import os
 import sys
-
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import xisa_conf
 
 
 def load(path):
@@ -64,47 +57,6 @@ def load(path):
 
 def row_key(row):
     return (row["workload"], row["isa"], row["class"], row["threads"])
-
-
-def parse_conf(conf_path):
-    try:
-        return xisa_conf.parse_file(conf_path)
-    except (OSError, xisa_conf.ConfError) as e:
-        print(f"check_perf: cannot read {conf_path}: {e}",
-              file=sys.stderr)
-        sys.exit(2)
-
-
-def conf_cells(conf, conf_path, mode):
-    """The (workload, isa, class, threads) sweep an overhead conf
-    describes, in the JSON's spelling."""
-    if conf.get("", "kind") != "overhead":
-        print(f"check_perf: {conf_path}: --conf wants an overhead or "
-              "serving experiment", file=sys.stderr)
-        sys.exit(2)
-
-    def isa_label(ref):
-        base = ref
-        node = conf.sections.get(f"node.{ref}")
-        if node is not None:
-            base = node.get("base", ref)
-        return {"aether": "Aether64", "xeno": "Xeno64"}.get(base, ref)
-
-    def sweep(key, quick_key, default, quick_default):
-        full = conf.get_list("", key) or default
-        if mode != "quick":
-            return full
-        return conf.get_list("", quick_key) or quick_default
-
-    workloads = [w.split("@")[0].strip()
-                 for w in conf.get_list("", "workloads")]
-    isas = [isa_label(i)
-            for i in (conf.get_list("", "isas") or ["aether", "xeno"])]
-    classes = sweep("classes", "classes_quick", ["A", "B", "C"], ["A"])
-    threads = [int(t) for t in sweep("threads", "threads_quick",
-                                     ["1", "2", "4", "8"], ["1", "4"])]
-    return {(w, i, c, t) for w in workloads for i in isas
-            for c in classes for t in threads}
 
 
 def wall_gate(fresh, base, args):
@@ -178,30 +130,9 @@ def check_fleet(fresh, base, args, failures):
     return base_rows
 
 
-def conf_scenarios(conf, conf_path):
-    """The scenario set a serving conf's runner emits."""
-    if conf.get("", "kind") != "serving":
-        print(f"check_perf: {conf_path}: serving JSON but conf kind is "
-              f"{conf.get('', 'kind')!r}", file=sys.stderr)
-        sys.exit(2)
-    want = {"static"}
-    if conf.get_list("traffic", "migrate_plan"):
-        want.add("migrate")
-    return want
-
-
 def check_serving(fresh, base, args, failures):
     """Gate a serving-kind JSON: deterministic counts exactly, tail
     percentiles within --max-p99-regression."""
-    if args.conf:
-        conf = parse_conf(args.conf)
-        want = conf_scenarios(conf, args.conf)
-        got = {r["scenario"] for r in fresh.get("rows", [])}
-        if got != want:
-            failures.append(
-                f"scenarios diverge from {args.conf}: "
-                f"missing={sorted(want - got)} extra={sorted(got - want)}")
-
     fresh_rows = {r["scenario"]: r for r in fresh.get("rows", [])}
     base_rows = {r["scenario"]: r for r in base.get("rows", [])}
     if set(fresh_rows) != set(base_rows):
@@ -263,9 +194,6 @@ def main():
                     help="absolute scheduler-event throughput floor "
                          "for fleet JSONs; below it the gate fails "
                          "regardless of the baseline")
-    ap.add_argument("--conf", metavar="FILE",
-                    help="experiment .conf whose sweep the fresh rows "
-                         "must match exactly")
     args = ap.parse_args()
 
     fresh = load(args.fresh)
@@ -285,10 +213,6 @@ def main():
         if args.min_mips is not None:
             print("check_perf: --min-mips only applies to overhead "
                   "JSONs (fleet rows have no mips)", file=sys.stderr)
-            return 2
-        if args.conf:
-            print("check_perf: --conf row checking is not implemented "
-                  "for fleet JSONs", file=sys.stderr)
             return 2
         base_rows = check_fleet(fresh, base, args, failures)
         if failures:
@@ -322,15 +246,6 @@ def main():
             return 1
         print(f"check_perf: OK ({len(base_rows)} serving scenarios)")
         return 0
-
-    if args.conf:
-        want = conf_cells(parse_conf(args.conf), args.conf,
-                          fresh.get("mode"))
-        got = {row_key(r) for r in fresh.get("rows", [])}
-        if got != want:
-            failures.append(
-                f"rows diverge from {args.conf}: "
-                f"missing={sorted(want - got)} extra={sorted(got - want)}")
 
     # --- exact simulation metrics -----------------------------------
     if fresh.get("simulated_instrs") != base.get("simulated_instrs"):
