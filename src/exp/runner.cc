@@ -364,25 +364,45 @@ runRack(const ExperimentSpec &spec, const Options &opts)
         double migrations = 0;
     };
     std::vector<PoolRow> poolRows;
+
+    // Every (pool, set) pair is an independent ClusterSim run: cell
+    // pool * numSets + set builds its own job set and sim. Only the
+    // last cell keeps its sim, whose registry feeds writeOutputs.
+    struct SetRun {
+        ClusterResult result;
+        uint64_t events = 0;
+        std::unique_ptr<ClusterSim> sim;
+    };
+    const size_t sets = static_cast<size_t>(numSets);
+    const size_t numCells = cl.pools.size() * sets;
+    const double t0 = wallNow();
+    std::vector<SetRun> runs = runSweep(numCells, [&](size_t i) {
+        const PoolSpec &pool = cl.pools[i / sets];
+        auto jobs = makePeriodicSet(spec.seedBase + i % sets, spec.waves,
+                                    spec.jobsPerWavePerMachine *
+                                        spec.poolMachines);
+        auto sim = std::make_unique<ClusterSim>(cl.makePool(pool), table,
+                                                cl.simConfig());
+        SetRun run;
+        run.result = sim->run(jobs, pool.policy);
+        run.events = sim->eventsProcessed();
+        if (i + 1 == numCells)
+            run.sim = std::move(sim);
+        return run;
+    });
+
     uint64_t schedEvents = 0;
     double baseEnergy = 0, baseEdp = 0;
-    std::unique_ptr<ClusterSim> lastSim;
-    const double t0 = wallNow();
-    for (const PoolSpec &pool : cl.pools) {
+    for (size_t p = 0; p < cl.pools.size(); ++p) {
+        const PoolSpec &pool = cl.pools[p];
         RunningStat energy, makespan, edp, migr;
-        for (int set = 0; set < numSets; ++set) {
-            auto jobs = makePeriodicSet(
-                spec.seedBase + static_cast<uint64_t>(set), spec.waves,
-                spec.jobsPerWavePerMachine * spec.poolMachines);
-            auto sim = std::make_unique<ClusterSim>(
-                cl.makePool(pool), table, cl.simConfig());
-            ClusterResult r = sim->run(jobs, pool.policy);
-            energy.add(r.totalEnergy);
-            makespan.add(r.makespan);
-            edp.add(r.edp);
-            migr.add(r.migrations);
-            schedEvents += sim->eventsProcessed();
-            lastSim = std::move(sim);
+        for (size_t set = 0; set < sets; ++set) {
+            const SetRun &run = runs[p * sets + set];
+            energy.add(run.result.totalEnergy);
+            makespan.add(run.result.makespan);
+            edp.add(run.result.edp);
+            migr.add(run.result.migrations);
+            schedEvents += run.events;
         }
         if (pool.baseline) {
             baseEnergy = energy.mean();
@@ -439,8 +459,8 @@ runRack(const ExperimentSpec &spec, const Options &opts)
                      opts.perfJsonPath.c_str());
     }
 
-    if (lastSim)
-        writeOutputs(opts, lastSim->statRegistry());
+    if (!runs.empty())
+        writeOutputs(opts, runs.back().sim->statRegistry());
     return 0;
 }
 

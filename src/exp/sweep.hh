@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -91,7 +92,10 @@ sweepThreads()
  * those rules the schedule cannot affect the results, so a parallel
  * sweep is bit-identical to the sequential one: workers pull indices
  * from an atomic counter, write into their own slot, and the caller
- * prints from the ordered vector after the join.
+ * prints from the ordered vector after the join. Errors follow the
+ * same rule: a throwing cell does not kill its worker thread, and the
+ * lowest-index exception -- the one the sequential loop would have
+ * thrown -- is rethrown after the join.
  */
 template <typename Fn>
 auto
@@ -108,17 +112,26 @@ runSweep(size_t n, Fn fn) -> std::vector<decltype(fn(size_t{0}))>
         return results;
     }
     std::atomic<size_t> next{0};
+    std::vector<std::exception_ptr> errors(n);
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (size_t w = 0; w < workers; ++w) {
         pool.emplace_back([&] {
             for (size_t i = next.fetch_add(1); i < n;
-                 i = next.fetch_add(1))
-                results[i] = fn(i);
+                 i = next.fetch_add(1)) {
+                try {
+                    results[i] = fn(i);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                }
+            }
         });
     }
     for (std::thread &t : pool)
         t.join();
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
     return results;
 }
 

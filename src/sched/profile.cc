@@ -1,8 +1,8 @@
 #include "sched/profile.hh"
 
 #include "compiler/compile.hh"
+#include "exp/sweep.hh"
 #include "machine/node.hh"
-#include "os/os.hh"
 #include "util/logging.hh"
 
 namespace xisa {
@@ -10,23 +10,28 @@ namespace xisa {
 JobProfileTable
 JobProfileTable::calibrate()
 {
+    // Compiling all ten modules takes milliseconds; executing them is
+    // the cost, so only the (workload x node) runs go through the
+    // sweep driver. Each cell only reads its shared binary.
+    const std::vector<WorkloadId> wls = allWorkloads();
+    std::vector<MultiIsaBinary> bins;
+    bins.reserve(wls.size());
+    for (WorkloadId wl : wls)
+        bins.push_back(
+            compileModule(buildWorkload(wl, ProblemClass::A, 1)));
+    constexpr size_t kNodes = kNumIsas;
+    const NodeSpec nodes[kNodes] = {makeXenoServer(), makeAetherServer()};
+    std::vector<double> secs =
+        exp::runSweep(wls.size() * kNodes, [&](size_t i) {
+            return exp::runSingleNode(bins[i / kNodes], nodes[i % kNodes])
+                .makespanSeconds;
+        });
+
     JobProfileTable table;
-    for (WorkloadId wl : allWorkloads()) {
-        Module mod = buildWorkload(wl, ProblemClass::A, 1);
-        MultiIsaBinary bin = compileModule(std::move(mod));
-        std::array<double, kNumIsas> secs{};
-        for (int node = 0; node < kNumIsas; ++node) {
-            OsConfig cfg;
-            cfg.nodes = {node == 0 ? makeXenoServer()
-                                   : makeAetherServer()};
-            ReplicatedOS os(bin, cfg);
-            os.load(0);
-            OsRunResult res = os.run();
-            IsaId isa = cfg.nodes[0].isa;
-            secs[static_cast<int>(isa)] = res.makespanSeconds;
-        }
-        table.base_[wl] = secs;
-    }
+    for (size_t w = 0; w < wls.size(); ++w)
+        for (size_t n = 0; n < kNodes; ++n)
+            table.base_[wls[w]][static_cast<int>(nodes[n].isa)] =
+                secs[w * kNodes + n];
     return table;
 }
 

@@ -28,8 +28,10 @@ class JobProfileTable
   public:
     /**
      * Run each workload once per ISA (class A, serial) through the
-     * compiler + OS + interpreter stack and derive the table. Expensive
-     * (a few seconds); call once and share.
+     * compiler + OS + interpreter stack and derive the table. About
+     * 0.5 s of host time run serially, split across the
+     * XISA_BENCH_THREADS sweep workers (exp::runSweep); the table is
+     * identical for every worker count. Call once and share.
      */
     static JobProfileTable calibrate();
 

@@ -189,36 +189,42 @@ ServingProfile::calibrate()
     MultiIsaBinary bin = compileModule(mod);
     const double ops = 16384.0 * classScale(ProblemClass::A);
 
+    // Two single-node runs for the per-op costs, then one real
+    // cross-ISA live migration of the serving binary: the pause
+    // between trapping at a migration point and resuming on the other
+    // ISA is what a shard sees when moved mid-traffic. The three runs
+    // are independent, so they share one sweep: secs[0..1] are the
+    // presets' makespans, secs[2] the migration pause.
     const NodeSpec presets[2] = {makeXenoServer(), makeAetherServer()};
-    for (const NodeSpec &nspec : presets) {
-        OsRunResult r = exp::runSingleNode(bin, nspec);
-        const double perOp =
-            r.makespanSeconds / ops * kServiceScale;
-        const size_t i = static_cast<size_t>(nspec.isa);
+    std::vector<double> secs = exp::runSweep(3, [&](size_t i) {
+        if (i < 2)
+            return exp::runSingleNode(bin, presets[i]).makespanSeconds;
+        ReplicatedOS os(bin, OsConfig::dualServer());
+        os.load(0);
+        bool fired = false;
+        os.onQuantum = [&](ReplicatedOS &self) {
+            if (fired || self.totalInstrs() < 100000)
+                return;
+            fired = true;
+            self.migrateProcess(1);
+        };
+        os.run();
+        double pause = 0.0;
+        for (const MigrationEvent &ev : os.migrations())
+            pause += ev.resumeTime - ev.trapTime;
+        return pause;
+    });
+
+    for (size_t k = 0; k < 2; ++k) {
+        const double perOp = secs[k] / ops * kServiceScale;
+        const size_t i = static_cast<size_t>(presets[k].isa);
         // The kernel interleaves GETs and SETs; split the measured
         // average with a fixed ratio (SETs write slot + value).
         p.getSeconds[i] = perOp * 0.85;
         p.setSeconds[i] = perOp * 1.35;
     }
-
-    // One real cross-ISA live migration of the serving binary: the
-    // pause between trapping at a migration point and resuming on the
-    // other ISA is what a shard sees when moved mid-traffic.
-    ReplicatedOS os(bin, OsConfig::dualServer());
-    os.load(0);
-    bool fired = false;
-    os.onQuantum = [&](ReplicatedOS &self) {
-        if (fired || self.totalInstrs() < 100000)
-            return;
-        fired = true;
-        self.migrateProcess(1);
-    };
-    os.run();
-    double pause = 0.0;
-    for (const MigrationEvent &ev : os.migrations())
-        pause += ev.resumeTime - ev.trapTime;
-    if (pause > 0.0)
-        p.migrateSeconds = pause * kDisruptScale;
+    if (secs[2] > 0.0)
+        p.migrateSeconds = secs[2] * kDisruptScale;
     // Losing the node costs roughly an order of magnitude more than a
     // planned move: failure detection, directory reconstruction, and
     // journal replay on the survivor (the PR 5 recovery path).

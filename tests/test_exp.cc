@@ -14,8 +14,13 @@
 #include <gtest/gtest.h>
 
 #include "exp/config.hh"
+#include "exp/options.hh"
 #include "exp/registry.hh"
+#include "exp/runner.hh"
 #include "exp/spec.hh"
+#include "exp/sweep.hh"
+#include "sched/jobsets.hh"
+#include "util/logging.hh"
 
 using namespace xisa;
 using namespace xisa::exp;
@@ -648,6 +653,60 @@ TEST(Spec, CheckedInConfsRoundTrip)
         text << f.rdbuf();
         expectRoundTrip(text.str(), path.c_str());
     }
+}
+
+// --- Runner ------------------------------------------------------------
+
+TEST(Runner, SweepRethrowsLowestIndexError)
+{
+    // A throwing cell must not take its worker thread (and the process)
+    // down: the sweep rethrows what the sequential loop would have.
+    setenv("XISA_BENCH_THREADS", "4", 1);
+    try {
+        runSweep(16, [](size_t i) {
+            if (i == 5 || i == 11)
+                fatal("cell %zu failed", i);
+            return i;
+        });
+        ADD_FAILURE() << "no exception";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "cell 5 failed");
+    }
+    unsetenv("XISA_BENCH_THREADS");
+}
+
+TEST(Runner, RackStatsComeFromLastCell)
+{
+    // The rack set loop runs its (pool, set) cells on every worker;
+    // --stats-json must still dump the registry of the last cell (last
+    // pool, last set), whichever worker finished last.
+    setenv("XISA_QUICK", "1", 1);
+    setenv("XISA_BENCH_THREADS", "4", 1);
+    ExperimentSpec spec = parseExperimentFile(
+        std::string(XISA_CONF_DIR) + "/rack_scale.conf");
+    Options opts;
+    opts.statsJsonPath = testing::TempDir() + "rack_last_cell.json";
+    testing::internal::CaptureStdout();
+    int rc = runExperiment(spec, opts);
+    testing::internal::GetCapturedStdout();
+    unsetenv("XISA_BENCH_THREADS");
+    unsetenv("XISA_QUICK");
+    ASSERT_EQ(rc, 0);
+    std::ifstream f(opts.statsJsonPath);
+    std::stringstream got;
+    got << f.rdbuf();
+
+    const ClusterSpec &cl = spec.cluster;
+    const PoolSpec &pool = cl.pools.back();
+    const uint64_t set = static_cast<uint64_t>(spec.activeSets(true)) - 1;
+    JobProfileTable table = JobProfileTable::calibrate();
+    ClusterSim sim(cl.makePool(pool), table, cl.simConfig());
+    sim.run(makePeriodicSet(spec.seedBase + set, spec.waves,
+                            spec.jobsPerWavePerMachine * spec.poolMachines),
+            pool.policy);
+    std::ostringstream want;
+    sim.statRegistry().dumpJson(want);
+    EXPECT_EQ(got.str(), want.str());
 }
 
 } // namespace

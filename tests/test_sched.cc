@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <map>
 
+#include "compiler/compile.hh"
+#include "exp/sweep.hh"
 #include "machine/node.hh"
 #include "sched/cluster.hh"
 #include "sched/jobsets.hh"
@@ -43,6 +45,24 @@ TEST(JobProfile, ArmIsSlowerThanX86ForEveryWorkload)
         EXPECT_GT(x86, 0.0) << workloadName(wl);
         EXPECT_GT(arm, 1.5 * x86) << workloadName(wl);
         EXPECT_LT(arm, 8.0 * x86) << workloadName(wl);
+    }
+}
+
+TEST(JobProfile, CalibrateMatchesSerialLoop)
+{
+    // calibrate() spreads its runs over the sweep workers; the table
+    // must equal a plain serial loop over the same runs bit for bit.
+    setenv("XISA_BENCH_THREADS", "4", 1);
+    JobProfileTable parallel = JobProfileTable::calibrate();
+    unsetenv("XISA_BENCH_THREADS");
+    for (WorkloadId wl : allWorkloads()) {
+        MultiIsaBinary bin =
+            compileModule(buildWorkload(wl, ProblemClass::A, 1));
+        for (const NodeSpec &node : {makeXenoServer(), makeAetherServer()}) {
+            double serial = exp::runSingleNode(bin, node).makespanSeconds;
+            EXPECT_EQ(parallel.baseSeconds(wl, node.isa), serial)
+                << workloadName(wl) << " on " << node.name;
+        }
     }
 }
 

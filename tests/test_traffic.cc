@@ -207,6 +207,28 @@ TEST(Traffic, ServingBytesIdenticalAcrossWorkerCounts)
         << "stats bytes depend on the worker count";
 }
 
+TEST(Traffic, CalibrateMatchesSerialLoop)
+{
+    // calibrate() runs its three simulations through the sweep driver;
+    // at one worker that is a plain serial loop, and four workers must
+    // give the same profile bit for bit.
+    ServingProfile p[2];
+    const char *threads[2] = {"1", "4"};
+    for (int i = 0; i < 2; ++i) {
+        setenv("XISA_BENCH_THREADS", threads[i], 1);
+        p[i] = ServingProfile::calibrate();
+    }
+    unsetenv("XISA_BENCH_THREADS");
+    EXPECT_EQ(p[0].getSeconds, p[1].getSeconds);
+    EXPECT_EQ(p[0].setSeconds, p[1].setSeconds);
+    EXPECT_EQ(p[0].migrateSeconds, p[1].migrateSeconds);
+    EXPECT_EQ(p[0].failoverSeconds, p[1].failoverSeconds);
+    // The migration run really migrated: the pause is measured, not
+    // the synthetic default.
+    EXPECT_NE(p[1].migrateSeconds,
+              ServingProfile::synthetic().migrateSeconds);
+}
+
 TEST(Traffic, MigrationRelievesOverloadedShard)
 {
     // The stream overloads slow-node shards (synthetic aether mean

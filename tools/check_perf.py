@@ -38,6 +38,11 @@ old per-quantum stepping loop runs two orders of magnitude below it at
 fleet scale, so the gate catches any reintroduction of per-step
 machine scans no matter how the baseline wall time drifts.
 
+Wall time, mips and events_per_sec are aggregates over the sweep
+workers, so a fresh JSON is only comparable with a baseline recorded at
+the same worker count: a sweep_threads mismatch is a usage error (exit
+2). Every checked-in baseline is recorded at XISA_BENCH_THREADS=1.
+
 Exit status: 0 ok, 1 regression/mismatch, 2 usage error.
 """
 
@@ -199,6 +204,13 @@ def main():
     fresh = load(args.fresh)
     base = load(args.baseline)
     failures = []
+
+    ft, bt = fresh.get("sweep_threads"), base.get("sweep_threads")
+    if ft != bt:
+        print(f"check_perf: fresh run used sweep_threads={ft} but the "
+              f"baseline was recorded at sweep_threads={bt}; rerun with "
+              f"XISA_BENCH_THREADS={bt}", file=sys.stderr)
+        return 2
 
     if fresh.get("mode") != base.get("mode"):
         failures.append(
