@@ -7,7 +7,7 @@
  *
  *  1. a bare 3-node hDSM fault storm over a lossy, perturbed link,
  *  2. an OS container ping-ponging a thread between heterogeneous
- *     kernels (stack transform + TLB shootdown + context send retry),
+ *     kernels (stack transform + context send retry, no TLB flush),
  *  3. a crashy ClusterSim run under both dynamic policies.
  *
  * With --crash it instead runs the node-failure recovery scenario

@@ -134,17 +134,19 @@ class DsmSpace
      */
     void registerStats(obs::StatRegistry &reg);
 
-    /**
-     * Drop every TLB entry cached by `node`'s port (TLB shootdown).
-     * The OS calls this on thread migration; the protocol invalidates
-     * individual entries itself on page steal/invalidation/drop.
-     */
+    /** Drop every TLB entry cached by `node`'s port (tests, audit
+     *  probe); a thread migration revokes no rights and needs none. */
     void flushTlb(int node);
     /** Drop every port's TLB (snapshot restore, tests). */
     void flushAllTlbs();
 
     /** Per-node page state (for tests and diagnostics). */
     PageState state(int node, uint64_t vpage) const;
+    /** `node`'s backing store, read-only (for tests and diagnostics). */
+    const SimMemory &memory(int node) const
+    {
+        return mem_[static_cast<size_t>(node)];
+    }
     /** Node currently owning the page (Modified), or -1 if none. */
     int modifiedOwner(uint64_t vpage) const;
     /** Check protocol invariants for every known page; panics on

@@ -142,7 +142,7 @@ class MemPort
             w = TlbEntry{};
     }
 
-    /** Drop every cached translation (migration, snapshot restore). */
+    /** Drop every cached translation (dead node, snapshot restore). */
     void
     tlbFlush()
     {

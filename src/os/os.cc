@@ -887,11 +887,6 @@ ReplicatedOS::handleMigrateTrap(OsThread &t, uint32_t siteId)
     }
     if (fd_)
         migrationLedger_[ledgerIdx].applied = true;
-    // TLB shootdown on both kernels: the thread's working set is about
-    // to be pulled across, so cached translations on either side must
-    // not short-circuit the coherence traffic the move will cause.
-    dsm_->flushTlb(t.node);
-    dsm_->flushTlb(dest);
     t.node = dest;
     t.core = pickCore(dest);
     t.ctx = newCtx;
