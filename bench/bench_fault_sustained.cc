@@ -63,8 +63,8 @@ makeCrashPlan(uint64_t seed, int count, double horizon, int machines,
 int
 main(int argc, char **argv)
 {
-    Options fa = parseCommonArgs(
-        argc, argv, kOptObs | kOptFault | kOptQuick | kOptConfig);
+    Options fa =
+        parseCommonArgs(argc, argv, kOptObs | kOptFault | kOptQuick);
     banner("Fig. 12 under faults",
            "sustained workload on a lossy fabric with machine crashes");
     JobProfileTable table = JobProfileTable::calibrate();

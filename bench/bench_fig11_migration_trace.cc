@@ -121,7 +121,7 @@ printTrace(const char *name, const TraceResult &tr)
 int
 main(int argc, char **argv)
 {
-    Options obsOpts = parseCommonArgs(argc, argv, kOptObs | kOptConfig);
+    Options obsOpts = parseCommonArgs(argc, argv, kOptObs);
     banner("Figure 11", "PadMig (serialization) vs multi-ISA binary "
                         "migration, NPB IS B serial");
     TraceResult padmig = runScenario(true);

@@ -20,8 +20,7 @@ using namespace xisa::bench;
 int
 main(int argc, char **argv)
 {
-    Options opts = parseCommonArgs(argc, argv,
-                                   kOptObs | kOptQuick | kOptConfig);
+    Options opts = parseCommonArgs(argc, argv, kOptObs | kOptQuick);
     banner("Figure 13", "periodic workload: energy and EDP, static "
                         "x86(2) vs dynamic heterogeneous");
     JobProfileTable table = JobProfileTable::calibrate();

@@ -141,7 +141,8 @@ main(int argc, char **argv)
     }
     std::printf("\nhDSM moved %llu pages on demand after the "
                 "migration.\n",
-                (unsigned long long)os.dsm().stats().pagesTransferred);
+                (unsigned long long)os.statRegistry().counterValue(
+                    "dsm.page_transfers"));
 
     if (statsJson) {
         std::ofstream f(statsJson);

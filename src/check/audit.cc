@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/stacktransform.hh"
-#include "dsm/interconnect.hh"
 #include "isa/abi.hh"
 #include "obs/trace.hh"
 #include "util/env.hh"
@@ -63,12 +62,8 @@ SuperblockAudit::onSuperblock(Event ev, uint32_t funcId,
     inSlice_ = ev != Event::Exit;
 }
 
-InvariantAuditor::InvariantAuditor(DsmSpace &dsm,
-                                   const obs::StatRegistry *reg,
-                                   const Interconnect *net,
-                                   std::string netPrefix, Context ctx)
-    : dsm_(dsm), reg_(reg), net_(net),
-      netPrefix_(std::move(netPrefix)), ctx_(ctx)
+InvariantAuditor::InvariantAuditor(DsmSpace &dsm, Context ctx)
+    : dsm_(dsm), ctx_(ctx)
 {}
 
 void
@@ -104,11 +99,11 @@ InvariantAuditor::onProtocolStep(const char *what, uint64_t vpage)
     }
     checkPage(what, vpage, /*bytes=*/true);
     // The affected page is checked exhaustively on every step; the
-    // whole directory and the stat shims are swept periodically to
-    // bound the audit's cost on fault storms.
+    // whole directory and the counters are swept periodically to bound
+    // the audit's cost on fault storms.
     if ((steps_ & 63u) == 0) {
         checkDirectoryAndTlbs(what, /*bytes=*/false);
-        checkStatShims(what);
+        checkCounterAgreement(what);
     }
 }
 
@@ -117,7 +112,7 @@ InvariantAuditor::deepCheck(const char *where)
 {
     ++checks_;
     checkDirectoryAndTlbs(where, /*bytes=*/true);
-    checkStatShims(where);
+    checkCounterAgreement(where);
 }
 
 void
@@ -318,9 +313,8 @@ InvariantAuditor::checkPage(const char *where, uint64_t vpage,
 }
 
 void
-InvariantAuditor::checkStatShims(const char *where)
+InvariantAuditor::checkCounterAgreement(const char *where)
 {
-    const DsmStats s = dsm_.stats();
     uint64_t rf = 0, wf = 0, inv = 0, in = 0;
     for (const auto &ns : dsm_.nodeStats_) {
         rf += ns.readFaults.value();
@@ -328,63 +322,19 @@ InvariantAuditor::checkStatShims(const char *where)
         inv += ns.invalidations.value();
         in += ns.pagesIn.value();
     }
-    auto mismatch = [&](const char *what, uint64_t a, uint64_t b) {
+    auto agree = [&](const char *what, const obs::Counter &aggregate,
+                     uint64_t perNode) {
+        if (aggregate.value() == perNode)
+            return;
         std::ostringstream os;
-        os << what << " disagree: aggregate " << a
-           << " vs per-node/registry " << b;
+        os << what << " disagree: aggregate " << aggregate.value()
+           << " vs per-node " << perNode;
         violation(where, os.str());
     };
-    if (s.readFaults != rf)
-        mismatch("read-fault counters", s.readFaults, rf);
-    if (s.writeFaults != wf)
-        mismatch("write-fault counters", s.writeFaults, wf);
-    if (s.invalidations != inv)
-        mismatch("invalidation counters", s.invalidations, inv);
-    if (s.pagesTransferred != in)
-        mismatch("page-transfer counters", s.pagesTransferred, in);
-
-    if (reg_) {
-        if (!handles_.resolved) {
-            handles_.readFaults = reg_->findCounter("dsm.read_faults");
-            handles_.writeFaults = reg_->findCounter("dsm.write_faults");
-            handles_.invalidations =
-                reg_->findCounter("dsm.invalidations");
-            handles_.pageTransfers =
-                reg_->findCounter("dsm.page_transfers");
-            handles_.bytesTransferred =
-                reg_->findCounter("dsm.bytes_transferred");
-            handles_.extraCycles = reg_->findCounter("dsm.extra_cycles");
-            if (net_) {
-                handles_.netMessages =
-                    reg_->findCounter(netPrefix_ + ".messages");
-                handles_.netBytes =
-                    reg_->findCounter(netPrefix_ + ".bytes");
-            }
-            handles_.resolved = true;
-        }
-        auto regCheck = [&](const char *name, const obs::Counter *c,
-                            uint64_t want) {
-            if (c && c->value() != want)
-                mismatch(name, want, c->value());
-        };
-        regCheck("dsm.read_faults", handles_.readFaults, s.readFaults);
-        regCheck("dsm.write_faults", handles_.writeFaults,
-                 s.writeFaults);
-        regCheck("dsm.invalidations", handles_.invalidations,
-                 s.invalidations);
-        regCheck("dsm.page_transfers", handles_.pageTransfers,
-                 s.pagesTransferred);
-        regCheck("dsm.bytes_transferred", handles_.bytesTransferred,
-                 s.bytesTransferred);
-        regCheck("dsm.extra_cycles", handles_.extraCycles,
-                 s.extraCycles);
-        if (net_) {
-            regCheck((netPrefix_ + ".messages").c_str(),
-                     handles_.netMessages, net_->messages());
-            regCheck((netPrefix_ + ".bytes").c_str(), handles_.netBytes,
-                     net_->bytes());
-        }
-    }
+    agree("read-fault counters", dsm_.readFaults_, rf);
+    agree("write-fault counters", dsm_.writeFaults_, wf);
+    agree("invalidation counters", dsm_.invalidations_, inv);
+    agree("page-transfer counters", dsm_.pageTransfers_, in);
 }
 
 void

@@ -350,31 +350,6 @@ DsmSpace::recoverDeadNode(int dead)
         deathHandler_(dead);
 }
 
-DsmStats
-DsmSpace::stats() const
-{
-    return {readFaults_.value(),     writeFaults_.value(),
-            invalidations_.value(),  pageTransfers_.value(),
-            bytesTransferred_.value(), extraCycles_.value()};
-}
-
-void
-DsmSpace::resetStats()
-{
-    readFaults_.reset();
-    writeFaults_.reset();
-    invalidations_.reset();
-    pageTransfers_.reset();
-    bytesTransferred_.reset();
-    extraCycles_.reset();
-    for (NodeStats &ns : nodeStats_) {
-        ns.readFaults.reset();
-        ns.writeFaults.reset();
-        ns.invalidations.reset();
-        ns.pagesIn.reset();
-    }
-}
-
 void
 DsmSpace::registerStats(obs::StatRegistry &reg)
 {
@@ -932,9 +907,9 @@ DsmSpace::saveState(ByteWriter &w) const
         w.u64(vpage);
         w.u32(static_cast<uint32_t>(node));
     }
-    // Protocol counters. Without these a restored container's stats()
-    // shim silently reported zeros while the run's registry history was
-    // gone -- the snapshot must carry the counts the pages embody.
+    // Protocol counters. Without these a restored container's registry
+    // silently reported zeros -- the snapshot must carry the counts the
+    // pages embody.
     w.u64(readFaults_.value());
     w.u64(writeFaults_.value());
     w.u64(invalidations_.value());

@@ -56,22 +56,6 @@ enum class PageState : uint8_t { Invalid = 0, Shared, Modified };
 enum class DsmMode : uint8_t { MigratePages, RemoteAccess };
 
 /**
- * Protocol and traffic statistics of one DSM space. Deprecated as
- * storage: the live counts are registry-backed obs::Counters owned by
- * the DsmSpace; this struct remains as the value type the stats() shim
- * materializes for existing callers.
- */
-struct DsmStats {
-    uint64_t readFaults = 0;
-    uint64_t writeFaults = 0;
-    uint64_t invalidations = 0;
-    uint64_t pagesTransferred = 0;
-    uint64_t bytesTransferred = 0;
-    /** Protocol-added cycles charged to faulting accesses. */
-    uint64_t extraCycles = 0;
-};
-
-/**
  * One process's distributed address space spanning all nodes.
  *
  * Single-owner on construction; ports (one per node) implement MemPort
@@ -123,14 +107,13 @@ class DsmSpace
     /** Read bytes through the protocol on behalf of `node`. */
     uint64_t pull(int node, uint64_t addr, void *dst, size_t n);
 
-    /** Deprecated shim materializing the registry-backed counters. */
-    DsmStats stats() const;
-    /** Deprecated: prefer resetting through the owning StatRegistry. */
-    void resetStats();
     /**
      * Attach the protocol counters to `reg`: aggregates under `dsm.*`
-     * plus per-node breakdowns under `node<N>.dsm.*` (read_faults,
-     * write_faults, invalidations, pages_in).
+     * (read_faults, write_faults, invalidations, page_transfers,
+     * bytes_transferred, extra_cycles -- the protocol-added cycles
+     * charged to faulting accesses) plus per-node breakdowns under
+     * `node<N>.dsm.*` (read_faults, write_faults, invalidations,
+     * pages_in). The registry is where every reader gets them.
      */
     void registerStats(obs::StatRegistry &reg);
 

@@ -169,15 +169,6 @@ class Interconnect
     FaultPlan &faultPlan() { return plan_; }
     const RetryPolicy &retryPolicy() const { return cfg_.retry; }
 
-    /** Deprecated shims reading the registry-backed counters. */
-    uint64_t messages() const { return messages_.value(); }
-    uint64_t bytes() const { return bytes_.value(); }
-    /** Deprecated: prefer resetting through the owning StatRegistry. */
-    void resetStats()
-    {
-        messages_.reset();
-        bytes_.reset();
-    }
     /**
      * Attach the traffic counters as `<prefix>.messages/.bytes`, and
      * the fault/recovery counters under the fixed `xfault.` namespace

@@ -415,30 +415,6 @@ Config::lineOf(const std::string &section, const std::string &key) const
     return e ? e->line : 0;
 }
 
-void
-Config::markSectionUsed(const std::string &section) const
-{
-    const Section *s = findSection(section);
-    if (!s)
-        return;
-    for (const ConfEntry &e : s->entries)
-        const_cast<ConfEntry &>(e).used = true;
-}
-
-void
-Config::markSectionsUsedExcept(
-    const std::vector<std::string> &keep) const
-{
-    for (const Section &s : sections_) {
-        bool kept = false;
-        for (const std::string &k : keep)
-            if (s.name == k)
-                kept = true;
-        if (!kept)
-            markSectionUsed(s.name);
-    }
-}
-
 std::vector<std::string>
 Config::unusedKeys() const
 {

@@ -99,20 +99,10 @@ class Config
     /** Line of a key, for consumer-side diagnostics (0 if absent). */
     int lineOf(const std::string &section, const std::string &key) const;
 
-    /** Mark every key of `section` consumed (a consumer that
-     *  intentionally ignores a foreign section). */
-    void markSectionUsed(const std::string &section) const;
-
     /** "section.key (line N)" for every key no getter touched. */
     std::vector<std::string> unusedKeys() const;
     /** Throw a ConfigError listing every untouched key. */
     void requireAllUsed() const;
-
-    /** Sections a Config may carry that this consumer knows nothing
-     *  about (e.g. an experiment spec handed to a bench as --config):
-     *  marks them used wholesale. */
-    void markSectionsUsedExcept(
-        const std::vector<std::string> &keep) const;
 
   private:
     struct Section {

@@ -15,9 +15,6 @@
  *   kOptPerfJson --json FILE, --sweep-json FILE
  *   kOptFault    --fault-drop P, --fault-seed S, --fault-partition P,L
  *                --fault-crashes N, --fault-down SEC, --fault-crash=M@T
- *   kOptConfig   --config FILE: read defaults for the flags above from
- *                a .conf file ([output], [faults], [crashes], and the
- *                global `quick` key); explicit flags still win.
  *
  * Both `--flag value` and `--flag=value` spellings are accepted.
  */
@@ -26,6 +23,8 @@
 #define XISA_EXP_OPTIONS_HH
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -39,9 +38,8 @@ enum : unsigned {
     kOptQuick = 1u << 1,
     kOptPerfJson = 1u << 2,
     kOptFault = 1u << 3,
-    kOptConfig = 1u << 4,
     /** xisa_exp's own tool flags: --print-spec, --list-workloads. */
-    kOptSpecTools = 1u << 5,
+    kOptSpecTools = 1u << 4,
 };
 
 /** Parsed common options; fields outside the enabled features keep
@@ -62,8 +60,6 @@ struct Options {
     int faultCrashes = 2;
     double faultDownSeconds = 30.0;
     std::vector<CrashEvent> scriptedCrashes;
-    // kOptConfig
-    std::string configPath;
     // kOptSpecTools
     bool printSpec = false;
     bool listWorkloads = false;
@@ -85,8 +81,18 @@ Options parseCommonArgs(int argc, char **argv, unsigned features,
 
 /** Emit whatever outputs the obs flags requested from `reg` and the
  *  global tracer; call once at the end of the harness. Prints nothing
- *  when no flag was given, so golden stdout is unaffected. */
+ *  when no flag was given, so golden stdout is unaffected. Exits 1 if
+ *  an output cannot be written. */
 void writeOutputs(const Options &o, obs::StatRegistry &reg);
+
+/**
+ * Create `path` and fill it through `fill`. Returns false, after
+ * printing "cannot write PATH" to stderr, if the file cannot be opened
+ * or any of it cannot be written -- a full disk often fails only at
+ * the final flush, so the close is checked too.
+ */
+bool writeFile(const std::string &path,
+               const std::function<void(std::ostream &)> &fill);
 
 } // namespace xisa::exp
 

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -11,6 +12,7 @@
 #include "exp/sweep.hh"
 #include "isa/isa.hh"
 #include "machine/interp_threaded.hh"
+#include "obs/json.hh"
 #include "sched/jobsets.hh"
 #include "traffic/traffic.hh"
 #include "util/stats.hh"
@@ -27,20 +29,41 @@ wallNow()
         .count();
 }
 
-void
-writeJsonHeader(std::FILE *f, const char *bench, bool quick,
-                int requestedThreads, size_t configs,
-                double wallSeconds)
+using Layout = obs::JsonWriter::Layout;
+
+/**
+ * Write a BENCH perf JSON to `path`, unless it is empty: the header
+ * every kind shares, then the fields `body` adds. `what` names the file
+ * on stderr. False if the file could not be written.
+ */
+bool
+writeBenchJson(const std::string &path, const char *what,
+               const ExperimentSpec &spec, size_t configs,
+               double wallSeconds,
+               const std::function<void(obs::JsonWriter &)> &body)
 {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"%s\",\n"
-                 "  \"mode\": \"%s\",\n"
-                 "  \"sweep_threads\": %d,\n"
-                 "  \"configs\": %zu,\n"
-                 "  \"wall_seconds\": %.6f,\n",
-                 bench, quick ? "quick" : "full", requestedThreads,
-                 configs, wallSeconds);
+    if (path.empty())
+        return true;
+    const bool written = writeFile(path, [&](std::ostream &os) {
+        obs::JsonWriter w(os);
+        w.beginObject(Layout::Lines)
+            .key("bench").string(spec.benchName)
+            .key("mode").string(quickMode() ? "quick" : "full")
+            .key("sweep_threads").number(sweepThreads())
+            .key("configs").number(configs)
+            .key("wall_seconds").number(wallSeconds, "%.6f");
+        body(w);
+        w.end();
+    });
+    if (written)
+        std::fprintf(stderr, "%s: %s\n", what, path.c_str());
+    return written;
+}
+
+const char *
+isaLabel(IsaId isa)
+{
+    return isa == IsaId::Aether64 ? "Aether64" : "Xeno64";
 }
 
 // --- kind = overhead (the fig06 report) -----------------------------
@@ -183,70 +206,52 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
     for (const CellResult &r : results)
         simInstrs += r.instrs;
 
-    if (!opts.perfJsonPath.empty()) {
-        std::FILE *f = std::fopen(opts.perfJsonPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opts.perfJsonPath.c_str());
-            return 1;
-        }
-        writeJsonHeader(f, spec.benchName.c_str(), quick,
-                        sweepThreads(), cells.size(), wallSeconds);
-        std::fprintf(f,
-                     "  \"simulated_instrs\": %llu,\n"
-                     "  \"mips\": %.2f,\n"
-                     "  \"rows\": [\n",
-                     static_cast<unsigned long long>(simInstrs),
-                     simInstrs / wallSeconds / 1e6);
-        for (size_t k = 0; k < cells.size(); ++k) {
-            const Cell &c = cells[k];
-            const CellResult &r = results[k];
-            std::fprintf(
-                f,
-                "    {\"workload\": \"%s\", \"isa\": \"%s\", "
-                "\"class\": \"%s\", \"threads\": %d, "
-                "\"base_seconds\": %.9f, \"instrumented_seconds\": "
-                "%.9f, \"overhead_pct\": %.4f, \"instrs\": %llu}%s\n",
-                c.provider->name().c_str(),
-                c.node.isa == IsaId::Aether64 ? "Aether64" : "Xeno64",
-                className(c.cls), c.nthreads, r.tBase, r.tInst,
-                (r.tInst / r.tBase - 1.0) * 100.0,
-                static_cast<unsigned long long>(r.instrs),
-                k + 1 < cells.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::fprintf(stderr, "perf json: %s\n",
-                     opts.perfJsonPath.c_str());
-    }
+    if (!writeBenchJson(
+            opts.perfJsonPath, "perf json", spec, cells.size(),
+            wallSeconds, [&](obs::JsonWriter &w) {
+                w.key("simulated_instrs").number(simInstrs)
+                    .key("mips")
+                    .number(simInstrs / wallSeconds / 1e6, "%.2f")
+                    .key("rows").beginArray(Layout::Lines);
+                for (size_t k = 0; k < cells.size(); ++k) {
+                    const Cell &c = cells[k];
+                    const CellResult &r = results[k];
+                    w.beginObject(Layout::Spaced)
+                        .key("workload").string(c.provider->name())
+                        .key("isa").string(isaLabel(c.node.isa))
+                        .key("class").string(className(c.cls))
+                        .key("threads").number(c.nthreads)
+                        .key("base_seconds").number(r.tBase, "%.9f")
+                        .key("instrumented_seconds")
+                        .number(r.tInst, "%.9f")
+                        .key("overhead_pct")
+                        .number((r.tInst / r.tBase - 1.0) * 100.0, "%.4f")
+                        .key("instrs").number(r.instrs)
+                        .end();
+                }
+                w.end();
+            }))
+        return 1;
 
-    if (!opts.sweepJsonPath.empty()) {
-        std::FILE *f = std::fopen(opts.sweepJsonPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opts.sweepJsonPath.c_str());
-            return 1;
-        }
-        writeJsonHeader(f, spec.benchName.c_str(), quick,
-                        sweepThreads(), cells.size(), wallSeconds);
-        std::fprintf(f, "  \"cells\": [\n");
-        for (size_t k = 0; k < cells.size(); ++k) {
-            const Cell &c = cells[k];
-            std::fprintf(
-                f,
-                "    {\"index\": %zu, \"workload\": \"%s\", "
-                "\"isa\": \"%s\", \"class\": \"%s\", \"threads\": %d, "
-                "\"host_seconds\": %.6f}%s\n",
-                k, c.provider->name().c_str(),
-                c.node.isa == IsaId::Aether64 ? "Aether64" : "Xeno64",
-                className(c.cls), c.nthreads, results[k].hostSeconds,
-                k + 1 < cells.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::fprintf(stderr, "sweep json: %s\n",
-                     opts.sweepJsonPath.c_str());
-    }
+    if (!writeBenchJson(
+            opts.sweepJsonPath, "sweep json", spec, cells.size(),
+            wallSeconds, [&](obs::JsonWriter &w) {
+                w.key("cells").beginArray(Layout::Lines);
+                for (size_t k = 0; k < cells.size(); ++k) {
+                    const Cell &c = cells[k];
+                    w.beginObject(Layout::Spaced)
+                        .key("index").number(k)
+                        .key("workload").string(c.provider->name())
+                        .key("isa").string(isaLabel(c.node.isa))
+                        .key("class").string(className(c.cls))
+                        .key("threads").number(c.nthreads)
+                        .key("host_seconds")
+                        .number(results[k].hostSeconds, "%.6f")
+                        .end();
+                }
+                w.end();
+            }))
+        return 1;
 
     // Per-cell registries die with their cell; only the tracer
     // survives to the output stage.
@@ -427,37 +432,26 @@ runRack(const ExperimentSpec &spec, const Options &opts)
     // tools/check_perf.py applies via --min-events-per-sec -- instead
     // of interpreter MIPS: rack runs exercise ClusterSim, not the
     // instruction-level machine.
-    if (!opts.perfJsonPath.empty()) {
-        std::FILE *f = std::fopen(opts.perfJsonPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opts.perfJsonPath.c_str());
-            return 1;
-        }
-        writeJsonHeader(f, spec.benchName.c_str(), quick,
-                        sweepThreads(),
-                        cl.pools.size() * static_cast<size_t>(numSets),
-                        wallSeconds);
-        std::fprintf(f,
-                     "  \"sched_events\": %llu,\n"
-                     "  \"events_per_sec\": %.2f,\n"
-                     "  \"rows\": [\n",
-                     static_cast<unsigned long long>(schedEvents),
-                     wallSeconds > 0 ? schedEvents / wallSeconds : 0.0);
-        for (size_t k = 0; k < poolRows.size(); ++k) {
-            const PoolRow &row = poolRows[k];
-            std::fprintf(
-                f,
-                "    {\"pool\": \"%s\", \"energy_kj\": %.6f, "
-                "\"makespan_seconds\": %.6f, \"migrations\": %.1f}%s\n",
-                row.pool->label.c_str(), row.energyKj, row.makespan,
-                row.migrations, k + 1 < poolRows.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::fprintf(stderr, "perf json: %s\n",
-                     opts.perfJsonPath.c_str());
-    }
+    if (!writeBenchJson(
+            opts.perfJsonPath, "perf json", spec, numCells, wallSeconds,
+            [&](obs::JsonWriter &w) {
+                w.key("sched_events").number(schedEvents)
+                    .key("events_per_sec")
+                    .number(wallSeconds > 0 ? schedEvents / wallSeconds
+                                            : 0.0,
+                            "%.2f")
+                    .key("rows").beginArray(Layout::Lines);
+                for (const PoolRow &row : poolRows)
+                    w.beginObject(Layout::Spaced)
+                        .key("pool").string(row.pool->label)
+                        .key("energy_kj").number(row.energyKj, "%.6f")
+                        .key("makespan_seconds")
+                        .number(row.makespan, "%.6f")
+                        .key("migrations").number(row.migrations, "%.1f")
+                        .end();
+                w.end();
+            }))
+        return 1;
 
     if (!runs.empty())
         writeOutputs(opts, runs.back().sim->statRegistry());
@@ -683,51 +677,39 @@ runServing(const ExperimentSpec &spec, const Options &opts)
     if (!spec.footer.empty())
         std::printf("\n%s\n", spec.footer.c_str());
 
-    if (!opts.perfJsonPath.empty()) {
-        std::FILE *f = std::fopen(opts.perfJsonPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opts.perfJsonPath.c_str());
-            return 1;
-        }
-        writeJsonHeader(f, spec.benchName.c_str(), quick,
-                        sweepThreads(), rows.size(), wallSeconds);
-        std::fprintf(f, "  \"rows\": [\n");
-        for (size_t k = 0; k < rows.size(); ++k) {
-            const traffic::ServingResult &r = rows[k].r;
-            char degraded[96] = "";
-            if (!spec.failures.empty())
-                std::snprintf(
-                    degraded, sizeof degraded,
-                    ", \"shed\": %llu, "
-                    "\"slo_violations_degraded\": %llu",
-                    static_cast<unsigned long long>(r.shed),
-                    static_cast<unsigned long long>(
-                        r.violationsDegraded));
-            std::fprintf(
-                f,
-                "    {\"scenario\": \"%s\", \"requests\": %llu, "
-                "\"p50_us\": %.6f, \"p99_us\": %.6f, "
-                "\"p999_us\": %.6f, \"max_us\": %.6f, "
-                "\"slo_violations\": %llu, \"violation_pct\": %.6f, "
-                "\"migrations\": %llu, \"failovers\": %llu%s}%s\n",
-                rows[k].scenario,
-                static_cast<unsigned long long>(r.requests), r.p50Us,
-                r.p99Us, r.p999Us, r.maxUs,
-                static_cast<unsigned long long>(r.sloViolations),
-                r.requests
-                    ? 100.0 * static_cast<double>(r.sloViolations) /
-                          static_cast<double>(r.requests)
-                    : 0.0,
-                static_cast<unsigned long long>(r.migrations),
-                static_cast<unsigned long long>(r.failovers),
-                degraded, k + 1 < rows.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::fprintf(stderr, "perf json: %s\n",
-                     opts.perfJsonPath.c_str());
-    }
+    if (!writeBenchJson(
+            opts.perfJsonPath, "perf json", spec, rows.size(), wallSeconds,
+            [&](obs::JsonWriter &w) {
+                w.key("rows").beginArray(Layout::Lines);
+                for (const Row &row : rows) {
+                    const traffic::ServingResult &r = row.r;
+                    w.beginObject(Layout::Spaced)
+                        .key("scenario").string(row.scenario)
+                        .key("requests").number(r.requests)
+                        .key("p50_us").number(r.p50Us, "%.6f")
+                        .key("p99_us").number(r.p99Us, "%.6f")
+                        .key("p999_us").number(r.p999Us, "%.6f")
+                        .key("max_us").number(r.maxUs, "%.6f")
+                        .key("slo_violations").number(r.sloViolations)
+                        .key("violation_pct")
+                        .number(r.requests
+                                    ? 100.0 *
+                                          static_cast<double>(
+                                              r.sloViolations) /
+                                          static_cast<double>(r.requests)
+                                    : 0.0,
+                                "%.6f")
+                        .key("migrations").number(r.migrations)
+                        .key("failovers").number(r.failovers);
+                    if (!spec.failures.empty())
+                        w.key("shed").number(r.shed)
+                            .key("slo_violations_degraded")
+                            .number(r.violationsDegraded);
+                    w.end();
+                }
+                w.end();
+            }))
+        return 1;
 
     writeOutputs(opts, reg);
     return 0;

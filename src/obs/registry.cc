@@ -3,6 +3,7 @@
 #include <cmath>
 #include <ostream>
 
+#include "obs/json.hh"
 #include "util/logging.hh"
 
 namespace xisa::obs {
@@ -60,9 +61,15 @@ Counter::Counter(StatRegistry &reg, const std::string &name)
 }
 
 void
-Counter::printValue(std::ostream &os, bool) const
+Counter::printValue(std::ostream &os) const
 {
     os << v_;
+}
+
+void
+Counter::writeJson(JsonWriter &w) const
+{
+    w.number(v_);
 }
 
 Gauge::Gauge(const std::string &name)
@@ -76,9 +83,15 @@ Gauge::Gauge(StatRegistry &reg, const std::string &name)
 }
 
 void
-Gauge::printValue(std::ostream &os, bool) const
+Gauge::printValue(std::ostream &os) const
 {
     os << v_;
+}
+
+void
+Gauge::writeJson(JsonWriter &w) const
+{
+    w.number(v_, "%g"); // what printValue's default ostream prints
 }
 
 // --- Histogram ----------------------------------------------------------
@@ -193,19 +206,26 @@ Histogram::reset()
 }
 
 void
-Histogram::printValue(std::ostream &os, bool json) const
+Histogram::printValue(std::ostream &os) const
 {
-    if (json) {
-        os << "{\"count\":" << count_ << ",\"sum\":" << sum_
-           << ",\"min\":" << min() << ",\"max\":" << max()
-           << ",\"mean\":" << mean() << ",\"p50\":" << percentile(0.5)
-           << ",\"p90\":" << percentile(0.9)
-           << ",\"p99\":" << percentile(0.99) << "}";
-    } else {
-        os << "count=" << count_ << " mean=" << mean()
-           << " min=" << min() << " p50=" << percentile(0.5)
-           << " p90=" << percentile(0.9) << " max=" << max();
-    }
+    os << "count=" << count_ << " mean=" << mean() << " min=" << min()
+       << " p50=" << percentile(0.5) << " p90=" << percentile(0.9)
+       << " max=" << max();
+}
+
+void
+Histogram::writeJson(JsonWriter &w) const
+{
+    w.beginObject(JsonWriter::Layout::Compact)
+        .key("count").number(count_)
+        .key("sum").number(sum_, "%g")
+        .key("min").number(min(), "%g")
+        .key("max").number(max(), "%g")
+        .key("mean").number(mean(), "%g")
+        .key("p50").number(percentile(0.5), "%g")
+        .key("p90").number(percentile(0.9), "%g")
+        .key("p99").number(percentile(0.99), "%g")
+        .end();
 }
 
 // --- StatRegistry -------------------------------------------------------
@@ -286,7 +306,7 @@ StatRegistry::dump(std::ostream &os) const
 {
     for (const auto &[name, s] : stats_) {
         os << name << " = ";
-        s->printValue(os, /*json=*/false);
+        s->printValue(os);
         os << "\n";
     }
 }
@@ -294,16 +314,13 @@ StatRegistry::dump(std::ostream &os) const
 void
 StatRegistry::dumpJson(std::ostream &os) const
 {
-    os << "{";
-    bool first = true;
+    JsonWriter w(os);
+    w.beginObject(JsonWriter::Layout::Lines);
     for (const auto &[name, s] : stats_) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n  \"" << name << "\": ";
-        s->printValue(os, /*json=*/true);
+        w.key(name);
+        s->writeJson(w);
     }
-    os << "\n}\n";
+    w.end();
 }
 
 std::map<std::string, double>

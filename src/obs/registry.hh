@@ -2,13 +2,13 @@
  * @file
  * The unified statistics layer (gem5-style stat registry).
  *
- * Every subsystem that used to own ad-hoc counters (Interconnect
- * message/byte counts, CacheStats, DsmStats, bench-local RunningStats)
- * now registers named stats -- counters, gauges, histograms -- into a
- * StatRegistry. Names are hierarchical dotted paths ("dsm.page_transfers",
- * "node0.l1d.misses"); the registry can render them human-readable or as
- * JSON, reset them all at once (subsuming the per-class resetStats()
- * idioms), and snapshot/diff them per measured region (ScopedStatEpoch).
+ * Every subsystem registers its named stats -- counters, gauges,
+ * histograms -- into a StatRegistry, and every reader (harnesses,
+ * tests, the invariant auditor) reads them there: components keep no
+ * second copy. Names are hierarchical dotted paths ("dsm.page_transfers",
+ * "node0.core0.l1d.misses"); the registry can render them human-readable
+ * or as JSON (through obs::JsonWriter), reset them all at once, and
+ * snapshot/diff them per measured region (ScopedStatEpoch).
  *
  * Registries are instantiable: components that may coexist (two
  * ReplicatedOS containers, three ClusterSims) each own one, so names
@@ -33,6 +33,7 @@
 
 namespace xisa::obs {
 
+class JsonWriter;
 class StatRegistry;
 
 /** What a stat measures; drives the dump rendering. */
@@ -58,8 +59,10 @@ class Stat
     virtual void reset() = 0;
     /** Scalar used by snapshots and epoch deltas. */
     virtual double primaryValue() const = 0;
-    /** Render the value (no name) in human or JSON form. */
-    virtual void printValue(std::ostream &os, bool json) const = 0;
+    /** Render the value (no name) for the human-readable dump. */
+    virtual void printValue(std::ostream &os) const = 0;
+    /** Write the value (no name) as one JSON value. */
+    virtual void writeJson(JsonWriter &w) const = 0;
 
   private:
     friend class StatRegistry;
@@ -91,7 +94,8 @@ class Counter : public Stat
     {
         return static_cast<double>(v_);
     }
-    void printValue(std::ostream &os, bool json) const override;
+    void printValue(std::ostream &os) const override;
+    void writeJson(JsonWriter &w) const override;
 
   private:
     uint64_t v_ = 0;
@@ -112,7 +116,8 @@ class Gauge : public Stat
     StatKind kind() const override { return StatKind::Gauge; }
     void reset() override { v_ = 0; }
     double primaryValue() const override { return v_; }
-    void printValue(std::ostream &os, bool json) const override;
+    void printValue(std::ostream &os) const override;
+    void writeJson(JsonWriter &w) const override;
 
   private:
     double v_ = 0;
@@ -147,7 +152,8 @@ class Histogram : public Stat
     {
         return static_cast<double>(count_);
     }
-    void printValue(std::ostream &os, bool json) const override;
+    void printValue(std::ostream &os) const override;
+    void writeJson(JsonWriter &w) const override;
 
   private:
     static constexpr int kSubBuckets = 32;
@@ -197,7 +203,7 @@ class StatRegistry
 
     size_t size() const { return stats_.size(); }
 
-    /** Zero every registered stat (subsumes per-class resetStats()). */
+    /** Zero every registered stat. */
     void resetAll();
 
     /** Human-readable dump, one "name = value" row per stat. */

@@ -1,9 +1,8 @@
 #include "obs/trace.hh"
 
-#include <cstdio>
-#include <ostream>
 #include <unordered_set>
 
+#include "obs/json.hh"
 #include "util/logging.hh"
 
 namespace xisa::obs {
@@ -148,62 +147,45 @@ Tracer::repaired(const Ring &r) const
     return out;
 }
 
-namespace {
-
-void
-jsonEscape(std::ostream &os, const char *s)
-{
-    for (; s && *s; ++s) {
-        if (*s == '"' || *s == '\\')
-            os << '\\';
-        os << *s;
-    }
-}
-
-} // namespace
-
 void
 Tracer::exportChromeTrace(std::ostream &os) const
 {
-    os << "{\"traceEvents\":[";
-    bool first = true;
-    auto comma = [&] {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n";
-    };
+    using Layout = JsonWriter::Layout;
+    JsonWriter w(os, /*indent=*/0);
+    w.beginObject(Layout::Compact)
+        .key("traceEvents")
+        .beginArray(Layout::Lines);
     for (const auto &[track, name] : trackNames_) {
-        comma();
-        os << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << track
-           << ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-        jsonEscape(os, name.c_str());
-        os << "\"}}";
+        w.beginObject(Layout::Compact)
+            .key("ph").string("M")
+            .key("pid").number(0)
+            .key("tid").number(track)
+            .key("name").string("thread_name")
+            .key("args").beginObject(Layout::Compact)
+            .key("name").string(name)
+            .end()
+            .end();
     }
-    char ts[32];
     for (const auto &[track, ring] : rings_) {
         for (const TraceEvent &e : repaired(ring)) {
-            comma();
-            // Chrome expects microseconds.
-            std::snprintf(ts, sizeof(ts), "%.3f", e.tsSeconds * 1e6);
-            os << "{\"ph\":\"" << e.ph << "\",\"pid\":0,\"tid\":" << track
-               << ",\"ts\":" << ts;
-            if (e.cat) {
-                os << ",\"cat\":\"";
-                jsonEscape(os, e.cat);
-                os << "\"";
-            }
-            if (e.name) {
-                os << ",\"name\":\"";
-                jsonEscape(os, e.name);
-                os << "\"";
-            }
+            w.beginObject(Layout::Compact)
+                .key("ph").string(std::string_view(&e.ph, 1))
+                .key("pid").number(0)
+                .key("tid").number(track)
+                // Chrome expects microseconds.
+                .key("ts").number(e.tsSeconds * 1e6, "%.3f");
+            if (e.cat)
+                w.key("cat").string(e.cat);
+            if (e.name)
+                w.key("name").string(e.name);
             if (e.ph == 'C')
-                os << ",\"args\":{\"value\":" << e.value << "}";
-            os << "}";
+                w.key("args").beginObject(Layout::Compact)
+                    .key("value").number(e.value, "%g")
+                    .end();
+            w.end();
         }
     }
-    os << "\n],\"displayTimeUnit\":\"ms\"}\n";
+    w.end().key("displayTimeUnit").string("ms").end();
 }
 
 } // namespace xisa::obs

@@ -22,7 +22,7 @@ namespace {
 
 constexpr uint32_t kCkptMagic = 0x544b4358; // "XCKT"
 // v2: the DSM section carries the protocol counters, so a restored
-// container's stats()/registry state matches the checkpointed one.
+// container's DSM counters match the checkpointed one.
 constexpr uint32_t kCkptVersion = 2;
 
 void

@@ -122,8 +122,7 @@ ReplicatedOS::ReplicatedOS(const MultiIsaBinary &bin, OsConfig cfg)
             check::SchedulePerturber::envSeed());
     if (check::auditRequested()) {
         auditor_ = std::make_unique<check::InvariantAuditor>(
-            *dsm_, &stats_, &net_, "net",
-            check::InvariantAuditor::Context{
+            *dsm_, check::InvariantAuditor::Context{
                 cfg_.net.faults.seed,
                 check::SchedulePerturber::envSeed()});
         auditor_->attach();
@@ -660,23 +659,17 @@ ReplicatedOS::heapObjects() const
 double
 ReplicatedOS::l1iMissRatio(int node) const
 {
-    CacheStats total;
-    for (const Core &c : nodes_[static_cast<size_t>(node)].cores) {
-        total.accesses += c.l1i.stats().accesses;
-        total.misses += c.l1i.stats().misses;
+    uint64_t accesses = 0, misses = 0;
+    const std::string np = "node" + std::to_string(node) + ".core";
+    for (size_t c = 0; c < nodes_[static_cast<size_t>(node)].cores.size();
+         ++c) {
+        const std::string cp = np + std::to_string(c) + ".l1i";
+        accesses += stats_.counterValue(cp + ".accesses");
+        misses += stats_.counterValue(cp + ".misses");
     }
-    return total.missRatio();
-}
-
-double
-ReplicatedOS::l1dMissRatio(int node) const
-{
-    CacheStats total;
-    for (const Core &c : nodes_[static_cast<size_t>(node)].cores) {
-        total.accesses += c.l1d.stats().accesses;
-        total.misses += c.l1d.stats().misses;
-    }
-    return total.missRatio();
+    return accesses ? static_cast<double>(misses) /
+                          static_cast<double>(accesses)
+                    : 0.0;
 }
 
 void

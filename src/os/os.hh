@@ -154,8 +154,9 @@ class ReplicatedOS
     /**
      * This container's stat registry. Every component counter (per-node
      * caches, DSM protocol, interconnect, stack transformer, OS
-     * services) is attached here at construction; dump()/dumpJson()
-     * renders them all, resetAll() subsumes the per-class resetStats().
+     * services) is attached here at construction, and this is the one
+     * place to read them; dump()/dumpJson() renders them all and
+     * resetAll() zeroes them.
      */
     obs::StatRegistry &statRegistry() { return stats_; }
     /** The invariant auditor riding along, or nullptr unless
@@ -189,10 +190,9 @@ class ReplicatedOS
      */
     void restore(const std::vector<uint8_t> &bytes);
 
-    /** Aggregate L1-I miss ratio across one node's cores (Table 1). */
+    /** Aggregate L1-I miss ratio across one node's cores (Table 1),
+     *  from the `node<N>.core<C>.l1i.*` counters in statRegistry(). */
     double l1iMissRatio(int node) const;
-    /** Aggregate L1-D miss ratio across one node's cores. */
-    double l1dMissRatio(int node) const;
 
     /** Invoked after every scheduling quantum (experiment hooks, e.g.
      *  re-requesting migration to ping-pong a process between nodes). */

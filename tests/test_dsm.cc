@@ -20,6 +20,13 @@ constexpr uint64_t kBase = 0x10000000ull;
 struct DsmFixture : ::testing::Test {
     Interconnect net;
     DsmSpace dsm{2, &net, {3.5, 2.4}};
+    obs::StatRegistry reg;
+
+    DsmFixture() { dsm.registerStats(reg); }
+    uint64_t stat(const char *name) const
+    {
+        return reg.counterValue(name);
+    }
 };
 
 TEST_F(DsmFixture, PopulateMakesHomeNodeModified)
@@ -41,8 +48,8 @@ TEST_F(DsmFixture, RemoteReadSharesThePage)
     EXPECT_GT(cost, 0u) << "remote fetch must cost cycles";
     EXPECT_EQ(dsm.state(0, kBase / vm::kPageSize), PageState::Shared);
     EXPECT_EQ(dsm.state(1, kBase / vm::kPageSize), PageState::Shared);
-    EXPECT_EQ(dsm.stats().readFaults, 1u);
-    EXPECT_EQ(dsm.stats().pagesTransferred, 1u);
+    EXPECT_EQ(stat("dsm.read_faults"), 1u);
+    EXPECT_EQ(stat("dsm.page_transfers"), 1u);
     // Second read is a local hit.
     EXPECT_EQ(dsm.port(1).read(kBase, &got, 8), 0u);
 }
@@ -58,7 +65,7 @@ TEST_F(DsmFixture, RemoteWriteInvalidatesOtherCopies)
     EXPECT_GT(cost, 0u);
     EXPECT_EQ(dsm.state(1, kBase / vm::kPageSize), PageState::Modified);
     EXPECT_EQ(dsm.state(0, kBase / vm::kPageSize), PageState::Invalid);
-    EXPECT_GE(dsm.stats().invalidations, 1u);
+    EXPECT_GE(stat("dsm.invalidations"), 1u);
     // Node 0 reading again must see node 1's write (fresh fetch).
     dsm.port(0).read(kBase, &got, 8);
     EXPECT_EQ(got, 7u);
@@ -70,7 +77,7 @@ TEST_F(DsmFixture, ColdPagesMaterializeWithoutTraffic)
     uint64_t got = 1;
     EXPECT_EQ(dsm.port(0).read(kBase + 0x5000, &got, 8), 0u);
     EXPECT_EQ(got, 0u);
-    EXPECT_EQ(dsm.stats().pagesTransferred, 0u);
+    EXPECT_EQ(stat("dsm.page_transfers"), 0u);
 }
 
 TEST_F(DsmFixture, WriteThenWriteOnOwnerIsFree)
@@ -87,7 +94,7 @@ TEST_F(DsmFixture, CrossPageAccessFaultsBothPages)
     uint64_t got = 0;
     dsm.port(1).read(kBase + vm::kPageSize - 4, &got, 8);
     EXPECT_EQ(got & 0xffffffffu, 0x1111u);
-    EXPECT_EQ(dsm.stats().pagesTransferred, 2u);
+    EXPECT_EQ(stat("dsm.page_transfers"), 2u);
 }
 
 TEST_F(DsmFixture, VdsoBroadcastIsVisibleEverywhereWithoutFaults)
@@ -98,7 +105,7 @@ TEST_F(DsmFixture, VdsoBroadcastIsVisibleEverywhereWithoutFaults)
         EXPECT_EQ(dsm.port(n).read(vm::kVdsoBase, &got, 8), 0u);
         EXPECT_EQ(got, 99u);
     }
-    EXPECT_EQ(dsm.stats().readFaults, 0u);
+    EXPECT_EQ(stat("dsm.read_faults"), 0u);
 }
 
 TEST_F(DsmFixture, PeekNeverDisturbsProtocolState)
@@ -116,6 +123,8 @@ TEST(DsmProperty, RandomOpsMatchShadowMemoryAcrossThreeNodes)
 {
     Interconnect net;
     DsmSpace dsm(3, &net, {3.5, 2.4, 2.4});
+    obs::StatRegistry reg;
+    dsm.registerStats(reg);
     std::map<uint64_t, uint64_t> shadow; // word address -> value
     Rng rng(2024);
     const uint64_t words = 512; // spans two pages
@@ -137,8 +146,8 @@ TEST(DsmProperty, RandomOpsMatchShadowMemoryAcrossThreeNodes)
             dsm.checkInvariants();
     }
     dsm.checkInvariants();
-    EXPECT_GT(dsm.stats().pagesTransferred, 10u);
-    EXPECT_GT(dsm.stats().invalidations, 10u);
+    EXPECT_GT(reg.counterValue("dsm.page_transfers"), 10u);
+    EXPECT_GT(reg.counterValue("dsm.invalidations"), 10u);
 }
 
 TEST_F(DsmFixture, FencedHealRejectsMinorityWritesAndResyncs)
@@ -209,8 +218,6 @@ TEST_F(DsmFixture, UnfencedHealReplaysSplitBrainWrite)
 
 TEST_F(DsmFixture, PartitionFencingCountersReachTheRegistry)
 {
-    obs::StatRegistry reg;
-    dsm.registerStats(reg);
     uint64_t a = 0xA;
     dsm.populate(0, kBase, &a, 8);
     uint64_t got = 0;
@@ -219,10 +226,10 @@ TEST_F(DsmFixture, PartitionFencingCountersReachTheRegistry)
     uint64_t c = 0xC;
     dsm.port(1).write(kBase, &c, 8);
     dsm.healPartition();
-    EXPECT_EQ(reg.counterValue("xfault.fenced_messages"), 1u);
-    EXPECT_EQ(reg.counterValue("xfault.pages_resynced"), 1u);
+    EXPECT_EQ(stat("xfault.fenced_messages"), 1u);
+    EXPECT_EQ(stat("xfault.pages_resynced"), 1u);
     // The deferred INVAL was first refused by the live cut.
-    EXPECT_EQ(reg.counterValue("xfault.cut_rejects"), 1u);
+    EXPECT_EQ(stat("xfault.cut_rejects"), 1u);
 }
 
 TEST(Interconnect, CostModelIsLatencyPlusBandwidth)
@@ -231,12 +238,14 @@ TEST(Interconnect, CostModelIsLatencyPlusBandwidth)
     cfg.latencyUs = 2.0;
     cfg.gbitPerSec = 8.0; // 1 GB/s
     Interconnect net(cfg);
+    obs::StatRegistry reg;
+    net.registerStats(reg, "net");
     EXPECT_NEAR(net.transferSeconds(0), 2e-6, 1e-12);
     EXPECT_NEAR(net.transferSeconds(1000000), 2e-6 + 1e-3, 1e-9);
     uint64_t cycles = net.charge(1000000, 1.0); // 1 GHz
     EXPECT_NEAR(static_cast<double>(cycles), (2e-6 + 1e-3) * 1e9, 2.0);
-    EXPECT_EQ(net.messages(), 1u);
-    EXPECT_EQ(net.bytes(), 1000000u);
+    EXPECT_EQ(reg.counterValue("net.messages"), 1u);
+    EXPECT_EQ(reg.counterValue("net.bytes"), 1000000u);
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "compiler/compile.hh"
@@ -315,11 +316,11 @@ TEST_P(WorkloadDifferential, FastPathMatchesReferenceExactly)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Workloads, WorkloadDifferential,
-                         ::testing::Values(WorkloadId::CG,
-                                           WorkloadId::IS,
-                                           WorkloadId::EP,
-                                           WorkloadId::REDIS));
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, WorkloadDifferential,
+    ::testing::Values(WorkloadId::CG, WorkloadId::IS, WorkloadId::EP,
+                      WorkloadId::REDIS),
+    [](const auto &info) { return std::string(workloadName(info.param)); });
 
 // ---------------------------------------------------------------------
 // TLB entries across a thread migration.

@@ -182,6 +182,8 @@ TEST(FaultPlan, SidedCutOnlySeversCrossPairs)
 TEST(FaultyInterconnect, PerfectLinkSendMatchesCharge)
 {
     Interconnect faultAware; // empty plan
+    obs::StatRegistry reg;
+    faultAware.registerStats(reg, "net");
     Interconnect legacy;
     auto r = faultAware.send(5000, 2.0);
     EXPECT_EQ(r.status, SendStatus::Delivered);
@@ -191,8 +193,8 @@ TEST(FaultyInterconnect, PerfectLinkSendMatchesCharge)
     auto rr = faultAware.reliableSend(5000, 2.0);
     EXPECT_EQ(rr.attempts, 1);
     EXPECT_EQ(rr.cycles, legacy.charge(5000, 2.0));
-    EXPECT_EQ(faultAware.messages(), 2u);
-    EXPECT_EQ(faultAware.bytes(), 10000u);
+    EXPECT_EQ(reg.counterValue("net.messages"), 2u);
+    EXPECT_EQ(reg.counterValue("net.bytes"), 10000u);
 }
 
 TEST(FaultyInterconnect, ReliableSendChargesTimeoutAndBackoff)
@@ -258,6 +260,8 @@ TEST(FaultyDsm, RemoteAccessExtraCyclesNoDoubleCharge)
 {
     Interconnect net;
     DsmSpace dsm(2, &net, {3.5, 2.4}, DsmMode::RemoteAccess);
+    obs::StatRegistry reg;
+    dsm.registerStats(reg);
     // Node 0 claims both pages as home.
     uint64_t v[2] = {0x1111, 0x2222};
     uint64_t straddle = kBase + vm::kPageSize - 4;
@@ -267,7 +271,7 @@ TEST(FaultyDsm, RemoteAccessExtraCyclesNoDoubleCharge)
     dsm.port(1).read(straddle, &got, 8);
     Interconnect ref;
     uint64_t expected = ref.charge(64 + 4, 2.4) + ref.charge(64 + 4, 2.4);
-    EXPECT_EQ(dsm.stats().extraCycles, expected);
+    EXPECT_EQ(reg.counterValue("dsm.extra_cycles"), expected);
 }
 
 struct StormCase : ::testing::TestWithParam<int> {};
@@ -606,6 +610,9 @@ TEST(CircuitBreaker, DisabledPolicyIsByteIdenticalToLegacyPath)
     cfg.faults.seed = 0x1dea;
     cfg.faults.dropProb = 0.3;
     Interconnect a(cfg), b(cfg);
+    obs::StatRegistry regA, regB;
+    a.registerStats(regA, "net");
+    b.registerStats(regB, "net");
     for (int i = 0; i < 200; ++i) {
         Interconnect::ReliableResult ra = a.reliableSend(512, 2.0);
         Interconnect::ReliableResult rb = b.reliableSendTo(1, 512, 2.0);
@@ -614,8 +621,7 @@ TEST(CircuitBreaker, DisabledPolicyIsByteIdenticalToLegacyPath)
         ASSERT_EQ(ra.cycles, rb.cycles) << "msg " << i;
         ASSERT_EQ(ra.duplicate, rb.duplicate) << "msg " << i;
     }
-    EXPECT_EQ(a.messages(), b.messages());
-    EXPECT_EQ(a.bytes(), b.bytes());
+    EXPECT_EQ(regA.snapshot(), regB.snapshot());
 }
 
 // --- hDSM node-failure recovery (DESIGN.md section 9) ----------------

@@ -17,13 +17,14 @@ namespace {
 TEST(Cache, ColdMissThenHit)
 {
     Cache c({1024, 2, 64, 10});
+    obs::StatRegistry reg;
+    c.registerStats(reg, "l1");
     EXPECT_EQ(c.access(0x1000), 10u);
     EXPECT_EQ(c.access(0x1000), 0u);
     EXPECT_EQ(c.access(0x1004), 0u); // same line
     EXPECT_EQ(c.access(0x1040), 10u); // next line
-    EXPECT_EQ(c.stats().accesses, 4u);
-    EXPECT_EQ(c.stats().misses, 2u);
-    EXPECT_DOUBLE_EQ(c.stats().missRatio(), 0.5);
+    EXPECT_EQ(reg.counterValue("l1.accesses"), 4u);
+    EXPECT_EQ(reg.counterValue("l1.misses"), 2u);
 }
 
 TEST(Cache, LruEvictsLeastRecentlyUsed)

@@ -192,9 +192,9 @@ TEST(Migration, DsmMovesPagesOnDemandAfterMigration)
     Module mod = makeTlsHeapProgram();
     ReplicatedOS *os = nullptr;
     runWithOneMigration(mod, 0, 1, 2, &os);
-    const DsmStats &stats = os->dsm().stats();
-    EXPECT_GT(stats.pagesTransferred, 0u);
-    EXPECT_GT(stats.bytesTransferred, 0u);
+    const obs::StatRegistry &stats = os->statRegistry();
+    EXPECT_GT(stats.counterValue("dsm.page_transfers"), 0u);
+    EXPECT_GT(stats.counterValue("dsm.bytes_transferred"), 0u);
     os->dsm().checkInvariants();
 }
 
