@@ -568,7 +568,6 @@ runServing(const ExperimentSpec &spec, const Options &opts)
 
     const double t0 = wallNow();
     traffic::ServingProfile prof = traffic::ServingProfile::calibrate();
-    std::vector<traffic::Request> reqs = traffic::generateRequests(tc);
 
     traffic::ServingConfig base;
     for (const std::string &ref : spec.singleMachineRefs)
@@ -580,10 +579,51 @@ runServing(const ExperimentSpec &spec, const Options &opts)
                                 spec.cluster.crashDownSeconds});
     applyFailures(spec, duration, base);
 
+    struct Row {
+        const char *scenario;
+        traffic::ServingResult r;
+    };
+    std::vector<Row> rows;
+    obs::StatRegistry reg;
+    // Stats detach when their sim dies, so the sims must outlive
+    // writeOutputs below or --stats-json dumps an empty registry.
+    std::vector<std::unique_ptr<traffic::ServingSim>> sims;
+    sims.push_back(std::make_unique<traffic::ServingSim>(
+        base, prof, reg, "serving.static"));
+    rows.push_back({"static", {}});
+    if (!t.migratePlan.empty()) {
+        traffic::ServingConfig cfg = base;
+        for (const ShardMigrationSpec &m : t.migratePlan)
+            cfg.migrations.push_back(
+                {m.shard, m.time * duration, m.node});
+        sims.push_back(std::make_unique<traffic::ServingSim>(
+            cfg, prof, reg, "serving.migrate"));
+        rows.push_back({"migrate", {}});
+    }
+
+    // Generate the stream a chunk at a time and feed every chunk to
+    // all scenarios, so the run never holds more than one chunk.
+    std::vector<traffic::ServingSim *> scenarios;
+    for (const std::unique_ptr<traffic::ServingSim> &sim : sims) {
+        sim->begin();
+        scenarios.push_back(sim.get());
+    }
+    traffic::RequestStream stream(tc);
+    for (;;) {
+        const std::vector<traffic::Request> &chunk = stream.next();
+        if (chunk.empty())
+            break;
+        traffic::ServingSim::feedAll(scenarios, chunk);
+    }
+    for (size_t i = 0; i < sims.size(); ++i)
+        rows[i].r = sims[i]->finish();
+    const double wallSeconds = wallNow() - t0;
+
     std::printf("\n%llu requests over %.3f s (%.0f req/s offered), "
                 "%d shards on %zu nodes, slo %.0f us\n",
-                static_cast<unsigned long long>(reqs.size()), duration,
-                tc.totalRate(), t.shards, base.nodes.size(), t.sloUs);
+                static_cast<unsigned long long>(rows[0].r.requests),
+                duration, tc.totalRate(), t.shards, base.nodes.size(),
+                t.sloUs);
     std::printf("calibrated: xeno get/set %.1f/%.1f us, aether "
                 "get/set %.1f/%.1f us, migrate %.2f ms, "
                 "failover %.2f ms%s\n",
@@ -601,29 +641,6 @@ runServing(const ExperimentSpec &spec, const Options &opts)
                     "shedding %d decile(s) while degraded\n",
                     spec.failures.size(), base.nodes.size(),
                     base.crashes.size(), spec.shedDeciles);
-
-    struct Row {
-        const char *scenario;
-        traffic::ServingResult r;
-    };
-    std::vector<Row> rows;
-    obs::StatRegistry reg;
-    // Stats detach when their sim dies, so the sims must outlive
-    // writeOutputs below or --stats-json dumps an empty registry.
-    std::vector<std::unique_ptr<traffic::ServingSim>> sims;
-    sims.push_back(std::make_unique<traffic::ServingSim>(
-        base, prof, reg, "serving.static"));
-    rows.push_back({"static", sims.back()->run(reqs)});
-    if (!t.migratePlan.empty()) {
-        traffic::ServingConfig cfg = base;
-        for (const ShardMigrationSpec &m : t.migratePlan)
-            cfg.migrations.push_back(
-                {m.shard, m.time * duration, m.node});
-        sims.push_back(std::make_unique<traffic::ServingSim>(
-            cfg, prof, reg, "serving.migrate"));
-        rows.push_back({"migrate", sims.back()->run(reqs)});
-    }
-    const double wallSeconds = wallNow() - t0;
 
     std::printf("\n%-8s %10s %10s %10s %10s %10s %10s %7s %5s %6s\n",
                 "scenario", "requests", "p50(us)", "p99(us)",

@@ -1,8 +1,11 @@
 #include "exp/spec.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "machine/node.hh"
 
@@ -42,6 +45,18 @@ joinList(const std::vector<std::string> &items)
 specFail(const Config &conf, const std::string &msg)
 {
     throw ConfigError(conf.name() + ": " + msg);
+}
+
+/** specFail naming the line of [section] `key` when the conf sets it. */
+[[noreturn]] void
+specFailAt(const Config &conf, const std::string &section,
+           const std::string &key, const std::string &msg)
+{
+    const int line = conf.lineOf(section, key);
+    if (line <= 0)
+        specFail(conf, msg);
+    throw ConfigError(conf.name() + ":" + std::to_string(line) + ": " +
+                      msg);
 }
 
 /** "x86*8" -> ("x86", 8); bare names count 1. */
@@ -607,25 +622,40 @@ parseExperiment(Config &conf)
         t.sloUs = conf.getDouble("traffic", "slo_us", t.sloUs);
         t.shards =
             static_cast<int>(conf.getInt("traffic", "shards", t.shards));
+        // NaN-safe: every comparison is written so NaN fails it.
+        auto trafficFail = [&](const char *key, const std::string &msg) {
+            specFailAt(conf, "traffic", key, "[traffic] " + msg);
+        };
         if (t.clients < 1)
-            specFail(conf, "[traffic] clients must be >= 1");
-        if (t.requestHz <= 0 || t.duration <= 0 || t.durationQuick <= 0)
-            specFail(conf, "[traffic] request_hz, duration and "
-                           "duration_quick must be > 0");
-        if (t.zipfSkew < 0 || t.zipfSkew >= 1)
-            specFail(conf, "[traffic] zipf_skew must be in [0, 1)");
+            trafficFail("clients", "clients must be >= 1");
+        for (const auto &[key, v] :
+             {std::pair<const char *, double>{"request_hz", t.requestHz},
+              {"duration", t.duration},
+              {"duration_quick", t.durationQuick},
+              {"slo_us", t.sloUs}})
+            if (!(v > 0) || !std::isfinite(v))
+                trafficFail(key, std::string(key) +
+                                     " must be a finite number > 0");
+        if (!(t.zipfSkew >= 0 && t.zipfSkew < 1))
+            trafficFail("zipf_skew", "zipf_skew must be in [0, 1)");
         if (t.keySpace < 1 || t.keySpace > (int64_t{1} << 24))
-            specFail(conf, "[traffic] key_space must be in [1, 2^24]");
-        if (t.getFraction < 0 || t.getFraction > 1)
-            specFail(conf, "[traffic] get_fraction must be in [0, 1]");
-        if (t.sloUs <= 0)
-            specFail(conf, "[traffic] slo_us must be > 0");
+            trafficFail("key_space", "key_space must be in [1, 2^24]");
+        if (!(t.getFraction >= 0 && t.getFraction <= 1))
+            trafficFail("get_fraction", "get_fraction must be in [0, 1]");
         if (t.shards < 1 || t.shards > 256)
-            specFail(conf, "[traffic] shards must be in [1, 256]");
-        if (static_cast<double>(t.clients) * t.requestHz * t.duration >
+            trafficFail("shards", "shards must be in [1, 256]");
+        // The cap holds for the full and the quick run alike; the
+        // message points at the longer duration, or else at the rate.
+        const char *durKey =
+            t.durationQuick > t.duration ? "duration_quick" : "duration";
+        if (static_cast<double>(t.clients) * t.requestHz *
+                std::max(t.duration, t.durationQuick) >
             2e7)
-            specFail(conf, "[traffic] clients * request_hz * duration "
-                           "exceeds 20M requests");
+            trafficFail(conf.has("traffic", durKey) ? durKey
+                        : conf.has("traffic", "request_hz") ? "request_hz"
+                                                             : "clients",
+                        std::string("clients * request_hz * ") + durKey +
+                            " exceeds 20M requests");
         if (conf.has("traffic", "placement")) {
             for (const std::string &p :
                  conf.getList("traffic", "placement")) {

@@ -1,5 +1,6 @@
 #include "obs/registry.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
 
@@ -110,8 +111,7 @@ int
 Histogram::bucketIndex(double v)
 {
     // v = m * 2^e with m in [0.5, 1): sub-bucket from the mantissa.
-    if (!(v > 0.0) || !std::isfinite(v))
-        return INT32_MIN; // dedicated bucket for <= 0 / non-finite
+    // Only positive finite samples get here.
     int e = 0;
     double m = std::frexp(v, &e);
     int sub = static_cast<int>((m - 0.5) * 2.0 * kSubBuckets);
@@ -155,7 +155,25 @@ Histogram::add(double v)
     }
     ++count_;
     sum_ += v;
-    ++buckets_[bucketIndex(v)];
+    if (!(v > 0.0) || !std::isfinite(v)) {
+        ++nonPositive_;
+        return;
+    }
+    const int idx = bucketIndex(v);
+    if (buckets_.empty())
+        base_ = idx;
+    if (idx < base_) {
+        // Grow downward by at least the current span so a descending
+        // run of samples does not shift the array once per bucket.
+        const size_t grow = std::max(static_cast<size_t>(base_ - idx),
+                                     buckets_.size());
+        buckets_.insert(buckets_.begin(), grow, 0);
+        base_ -= static_cast<int>(grow);
+    }
+    const size_t slot = static_cast<size_t>(idx - base_);
+    if (slot >= buckets_.size())
+        buckets_.resize(slot + 1);
+    ++buckets_[slot];
 }
 
 double
@@ -177,12 +195,15 @@ Histogram::percentile(double q) const
         std::ceil(q * static_cast<double>(count_)));
     if (rank < 1)
         rank = 1;
-    uint64_t seen = 0;
-    for (const auto &[idx, n] : buckets_) {
-        seen += n;
+    // The non-positive samples sort below every bucket. Empty buckets
+    // never stop the walk: `seen` only reaches `rank` on a sample.
+    uint64_t seen = nonPositive_;
+    if (seen >= rank)
+        return min_;
+    for (size_t i = 0; i < buckets_.size(); ++i) {
+        seen += buckets_[i];
         if (seen >= rank) {
-            if (idx == INT32_MIN)
-                return min_;
+            const int idx = base_ + static_cast<int>(i);
             // Midpoint of the bucket, clamped to the observed range.
             double mid = 0.5 * (bucketLow(idx) + bucketHigh(idx));
             if (mid < min_)
@@ -199,6 +220,8 @@ void
 Histogram::reset()
 {
     buckets_.clear();
+    base_ = 0;
+    nonPositive_ = 0;
     count_ = 0;
     sum_ = 0.0;
     min_ = 0.0;

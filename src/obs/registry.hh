@@ -30,6 +30,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace xisa::obs {
 
@@ -128,6 +129,12 @@ class Gauge : public Stat
  * of kSubBuckets sub-buckets per power of two, bounding the relative
  * error of percentile estimates to ~1/kSubBuckets. Exact count, sum,
  * min, and max are tracked alongside the buckets.
+ *
+ * The buckets are one flat array over the bucket-index range observed
+ * so far, grown lazily at either end, so add() is an index and an
+ * increment. Samples that are not positive and finite (zero,
+ * negatives, NaN, infinities) share one counter that sorts below
+ * every bucket.
  */
 class Histogram : public Stat
 {
@@ -161,7 +168,11 @@ class Histogram : public Stat
     static double bucketLow(int idx);
     static double bucketHigh(int idx);
 
-    std::map<int, uint64_t> buckets_;
+    /** buckets_[i] counts bucket index base_ + i. */
+    std::vector<uint64_t> buckets_;
+    int base_ = 0;
+    /** Samples that are <= 0 or not finite. */
+    uint64_t nonPositive_ = 0;
     uint64_t count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;

@@ -47,14 +47,17 @@ void
 Tracer::record(int track, const TraceEvent &e)
 {
     Ring &r = rings_[track];
-    if (r.ev.empty())
-        r.ev.resize(capacity_);
+    if (r.head == r.ev.size() && r.ev.size() < capacity_) {
+        // Still growing: append until the ring holds capacity_ events,
+        // so a track costs what it records, not a full ring up front.
+        r.ev.push_back(e);
+        ++r.head;
+        return;
+    }
+    r.head %= r.ev.size(); // a ring that just filled wraps to slot 0
     r.ev[r.head] = e;
     r.head = (r.head + 1) % r.ev.size();
-    if (r.count < r.ev.size())
-        ++r.count;
-    else
-        ++dropped_;
+    ++dropped_; // the event it overwrote
 }
 
 void
@@ -95,7 +98,7 @@ Tracer::size() const
 {
     size_t n = 0;
     for (const auto &[track, r] : rings_)
-        n += r.count;
+        n += r.ev.size();
     return n;
 }
 
@@ -111,15 +114,13 @@ std::vector<TraceEvent>
 Tracer::repaired(const Ring &r) const
 {
     std::vector<TraceEvent> out;
-    out.reserve(r.count);
-    // Oldest-first order: the ring wraps at `head`.
-    size_t start = r.count < r.ev.size()
-                       ? 0
-                       : r.head; // full ring: oldest is at head
+    out.reserve(r.ev.size());
+    // Oldest-first order: the oldest event sits at `head` (which is
+    // one past the end while the ring is still growing).
     double lastTs = 0;
     std::vector<size_t> open; ///< indices into `out` of unmatched B's
-    for (size_t i = 0; i < r.count; ++i) {
-        const TraceEvent &e = r.ev[(start + i) % r.ev.size()];
+    for (size_t i = 0; i < r.ev.size(); ++i) {
+        const TraceEvent &e = r.ev[(r.head + i) % r.ev.size()];
         lastTs = e.tsSeconds;
         if (e.ph == 'E') {
             if (open.empty())

@@ -16,9 +16,10 @@
  *    instrumentation macros expand to nothing);
  *  - compiled in but disabled (the default at startup): one predictable
  *    branch on `gTraceEnabled` per potential event;
- *  - enabled: one ring-buffer store per event. Rings are fixed size and
- *    overwrite their oldest events, so tracing never allocates
- *    unboundedly under heavy traffic.
+ *  - enabled: one ring-buffer store per event. Rings grow with what
+ *    their track records up to a fixed size, then overwrite their
+ *    oldest events, so tracing never allocates unboundedly under heavy
+ *    traffic and a quiet track stays small.
  *
  * Because instrumented layers sit below the code that knows "whose time
  * is it" (e.g. a DSM fault doesn't know which thread faulted), the OS
@@ -123,9 +124,9 @@ class Tracer
 
   private:
     struct Ring {
-        std::vector<TraceEvent> ev; ///< sized to capacity on first use
-        size_t head = 0;            ///< next write position
-        size_t count = 0;
+        /** Grows by append up to capacity_, then wraps. */
+        std::vector<TraceEvent> ev;
+        size_t head = 0; ///< next write position
     };
 
     void record(int track, const TraceEvent &e);

@@ -1,6 +1,7 @@
 #include "traffic/traffic.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "compiler/compile.hh"
@@ -31,6 +32,19 @@ constexpr double kServiceScale = 1000.0;
 constexpr double kDisruptScale = 100.0;
 
 constexpr double kLn2 = 0.6931471805599453;
+
+/** Set bits among the first `end` bits of `bits`. */
+uint64_t
+countLeadingBits(const std::vector<uint64_t> &bits, uint64_t end)
+{
+    uint64_t n = 0;
+    for (uint64_t w = 0; w < end / 64; ++w)
+        n += static_cast<uint64_t>(std::popcount(bits[w]));
+    if (end % 64)
+        n += static_cast<uint64_t>(std::popcount(
+            bits[end / 64] & ((uint64_t{1} << (end % 64)) - 1)));
+    return n;
+}
 
 } // namespace
 
@@ -107,11 +121,16 @@ ZipfGenerator::ZipfGenerator(int64_t n, double theta)
 int64_t
 ZipfGenerator::sample(Rng &rng) const
 {
-    if (theta_ <= 0.0 || n_ <= 1)
+    if (uniformRanks())
         return static_cast<int64_t>(
             rng.below(static_cast<uint64_t>(n_)));
+    return rank(rng.uniform());
+}
+
+int64_t
+ZipfGenerator::rank(double u) const
+{
     // Gray et al.'s rejection-free inverse: one uniform per sample.
-    const double u = rng.uniform();
     const double uz = u * zetan_;
     if (uz < 1.0)
         return 0;
@@ -127,39 +146,111 @@ ZipfGenerator::sample(Rng &rng) const
 
 // --- Stream generation ----------------------------------------------
 
+namespace {
+
+/** Requests per slice of a chunk's parallel transform. */
+constexpr size_t kSliceRequests = 4096;
+
+/** False when the config describes no stream: NaN-safe, and an
+ *  infinite rate or duration would never end. */
+bool
+hasStream(const TrafficConfig &cfg)
+{
+    const double rate = cfg.totalRate();
+    return rate > 0.0 && std::isfinite(rate) &&
+           cfg.durationSeconds > 0.0 &&
+           std::isfinite(cfg.durationSeconds) && cfg.shards >= 1 &&
+           cfg.keySpace >= 1;
+}
+
+} // namespace
+
+RequestStream::RequestStream(const TrafficConfig &cfg)
+    : cfg_(cfg), rng_(cfg.seed), zipf_(cfg.keySpace, cfg.zipfSkew),
+      done_(!hasStream(cfg))
+{}
+
+const std::vector<Request> &
+RequestStream::next()
+{
+    chunk_.clear();
+    if (done_)
+        return chunk_;
+    const size_t k = kChunkRequests;
+    const bool uniformRanks = zipf_.uniformRanks();
+    const uint64_t keySpace = static_cast<uint64_t>(cfg_.keySpace);
+    const uint64_t shards = static_cast<uint64_t>(cfg_.shards);
+    const double rate = cfg_.totalRate();
+    chunk_.resize(k);
+    gap_.resize(k);
+    rank_.resize(k);
+    getDraw_.resize(k);
+    if (!uniformRanks)
+        keyDraw_.resize(k);
+
+    // 1. The raw draws, serially and in the one-at-a-time loop's
+    // order. Slots past the end of the stream draw too; nothing reads
+    // the generator afterwards, so the overdraw changes nothing.
+    for (size_t j = 0; j < k; ++j) {
+        gap_[j] = rng_.uniform();
+        if (uniformRanks)
+            rank_[j] = rng_.below(keySpace);
+        else
+            keyDraw_[j] = rng_.uniform();
+        getDraw_[j] = rng_.uniform();
+    }
+
+    // 2. Everything that is a pure function of one slot's draws, in
+    // parallel over fixed slices.
+    exp::runSweep((k + kSliceRequests - 1) / kSliceRequests,
+                  [&](size_t slice) {
+        const size_t end = std::min(k, (slice + 1) * kSliceRequests);
+        for (size_t j = slice * kSliceRequests; j < end; ++j) {
+            // Poisson arrivals: exponential gap by inverse CDF.
+            gap_[j] = -detLog(1.0 - gap_[j]) / rate;
+            if (!uniformRanks)
+                rank_[j] = static_cast<uint64_t>(zipf_.rank(keyDraw_[j]));
+            // Scramble the popularity rank so hot keys spread over the
+            // key space (and thus over shards) instead of clustering
+            // at 0.
+            Request &r = chunk_[j];
+            r.key = static_cast<uint32_t>(mix64(rank_[j]) % keySpace);
+            r.shard = static_cast<uint16_t>(mix64(r.key) % shards);
+            r.isGet = getDraw_[j] < cfg_.getFraction;
+            r.decile = static_cast<uint8_t>(rank_[j] * 10 / keySpace);
+        }
+        return 0;
+    });
+
+    // 3. Arrival times, serially: the running sum rounds in order.
+    size_t n = 0;
+    for (; n < k; ++n) {
+        clock_ += gap_[n];
+        if (clock_ >= cfg_.durationSeconds) {
+            done_ = true;
+            break;
+        }
+        chunk_[n].arrival = clock_;
+    }
+    chunk_.resize(n);
+    return chunk_;
+}
+
 std::vector<Request>
 generateRequests(const TrafficConfig &cfg)
 {
     std::vector<Request> out;
-    const double rate = cfg.totalRate();
-    if (rate <= 0.0 || cfg.durationSeconds <= 0.0 || cfg.shards < 1 ||
-        cfg.keySpace < 1)
-        return out;
-    out.reserve(static_cast<size_t>(rate * cfg.durationSeconds * 1.1) +
-                16);
-
-    Rng rng(cfg.seed);
-    ZipfGenerator zipf(cfg.keySpace, cfg.zipfSkew);
-    const uint64_t keySpace = static_cast<uint64_t>(cfg.keySpace);
-    const uint64_t shards = static_cast<uint64_t>(cfg.shards);
-    double t = 0.0;
+    if (hasStream(cfg))
+        out.reserve(static_cast<size_t>(cfg.totalRate() *
+                                        cfg.durationSeconds * 1.1) +
+                    16);
+    RequestStream stream(cfg);
     for (;;) {
-        // Poisson arrivals: exponential inter-arrival by inverse CDF.
-        t += -detLog(1.0 - rng.uniform()) / rate;
-        if (t >= cfg.durationSeconds)
-            break;
-        Request r;
-        r.arrival = t;
-        // Scramble the popularity rank so hot keys spread over the key
-        // space (and thus over shards) instead of clustering at 0.
-        const uint64_t rank = static_cast<uint64_t>(zipf.sample(rng));
-        r.key = static_cast<uint32_t>(mix64(rank) % keySpace);
-        r.shard = static_cast<uint16_t>(mix64(r.key) % shards);
-        r.isGet = rng.uniform() < cfg.getFraction;
-        r.decile = static_cast<uint8_t>(rank * 10 / keySpace);
-        out.push_back(r);
+        const std::vector<Request> &chunk = stream.next();
+        if (chunk.empty())
+            return out;
+        out.insert(out.end(), chunk.begin(), chunk.end());
     }
-    return out;
 }
 
 // --- ServingProfile -------------------------------------------------
@@ -262,7 +353,18 @@ ServingSim::ServingSim(ServingConfig cfg, ServingProfile prof,
 ServingResult
 ServingSim::run(const std::vector<Request> &reqs)
 {
-    const size_t n = reqs.size();
+    begin();
+    const std::span<const Request> all(reqs);
+    for (size_t at = 0; at < all.size();
+         at += RequestStream::kChunkRequests)
+        feed(all.subspan(at, std::min(RequestStream::kChunkRequests,
+                                      all.size() - at)));
+    return finish();
+}
+
+void
+ServingSim::begin()
+{
     const int shards = static_cast<int>(cfg_.placement.size());
     const int numNodes = static_cast<int>(cfg_.nodes.size());
     if (shards < 1 || numNodes < 1)
@@ -280,36 +382,28 @@ ServingSim::run(const std::vector<Request> &reqs)
                   "shed_deciles=%d",
                   w.start, w.end, w.shedDeciles);
 
-    std::vector<std::vector<uint32_t>> perShard(shards);
-    for (size_t i = 0; i < n; ++i)
-        perShard[reqs[i].shard].push_back(static_cast<uint32_t>(i));
-
-    // Per-shard schedule: this shard's migrations plus every crash
-    // (crashes only bite if the shard sits on the node when it dies),
+    // Per-shard schedule: this shard's migrations plus every crash,
     // sorted by time with a deterministic tie-break.
-    struct Event {
-        double time = 0;
-        bool isCrash = false;
-        int node = 0;       ///< migration destination / crashed node
-        double down = 0;    ///< crash only
-    };
-    std::vector<std::vector<Event>> schedule(shards);
+    shards_.assign(static_cast<size_t>(shards), Shard{});
+    for (int s = 0; s < shards; ++s)
+        shards_[static_cast<size_t>(s)].node =
+            cfg_.placement[static_cast<size_t>(s)];
     for (const ShardMigration &m : cfg_.migrations) {
         if (m.shard < 0 || m.shard >= shards || m.node < 0 ||
             m.node >= numNodes)
             panic("ServingSim: bad migration shard=%d node=%d",
                   m.shard, m.node);
-        schedule[m.shard].push_back({m.time, false, m.node, 0});
+        shards_[static_cast<size_t>(m.shard)].events.push_back(
+            {m.time, false, m.node, 0});
     }
     for (const NodeCrash &c : cfg_.crashes) {
         if (c.node < 0 || c.node >= numNodes)
             panic("ServingSim: crash references node %d", c.node);
-        for (int s = 0; s < shards; ++s)
-            schedule[s].push_back(
-                {c.time, true, c.node, c.downSeconds});
+        for (Shard &sh : shards_)
+            sh.events.push_back({c.time, true, c.node, c.downSeconds});
     }
-    for (std::vector<Event> &evs : schedule)
-        std::stable_sort(evs.begin(), evs.end(),
+    for (Shard &sh : shards_)
+        std::stable_sort(sh.events.begin(), sh.events.end(),
                          [](const Event &a, const Event &b) {
                              if (a.time != b.time)
                                  return a.time < b.time;
@@ -318,222 +412,284 @@ ServingSim::run(const std::vector<Request> &reqs)
                              return a.node < b.node;
                          });
 
-    auto alive = [&](int nd, double t) {
-        for (const NodeCrash &c : cfg_.crashes)
-            if (c.node == nd && t >= c.time &&
-                t < c.time + c.downSeconds)
-                return false;
-        return true;
-    };
+    firstCrash_ = -1.0;
+    for (const NodeCrash &c : cfg_.crashes)
+        if (firstCrash_ < 0.0 || c.time < firstCrash_)
+            firstCrash_ = c.time;
+
+    res_ = ServingResult{};
+    res_.servedByNode.assign(cfg_.nodes.size(), 0);
+    res_.servedByNodeAfterCrash.assign(cfg_.nodes.size(), 0);
+    violated_.clear();
+}
+
+void
+ServingSim::feed(std::span<const Request> chunk)
+{
+    feedAll({this}, chunk);
+}
+
+void
+ServingSim::feedAll(const std::vector<ServingSim *> &sims,
+                    std::span<const Request> chunk)
+{
+    if (sims.empty() || chunk.empty())
+        return;
+    const size_t shards = sims.front()->shards_.size();
+    for (const ServingSim *sim : sims)
+        if (sim->shards_.size() != shards)
+            panic("ServingSim: feedAll over sims of %zu and %zu "
+                  "shards (or a sim that has not begun)",
+                  shards, sim->shards_.size());
+
+    // Split the chunk by shard once; every sim replays the same split.
+    std::vector<std::vector<uint32_t>> perShard(shards);
+    for (size_t i = 0; i < chunk.size(); ++i) {
+        if (chunk[i].shard >= shards)
+            panic("ServingSim: request for shard %d of %zu",
+                  static_cast<int>(chunk[i].shard), shards);
+        perShard[chunk[i].shard].push_back(static_cast<uint32_t>(i));
+    }
+    for (ServingSim *sim : sims)
+        sim->outcomes_.resize(chunk.size());
+
+    // Every per-request quantity is a pure function of the stream,
+    // the config and the shard's carried state, and each (sim, shard)
+    // cell writes disjoint outcome slots, so the worker count cannot
+    // change a single byte of the result.
+    exp::runSweep(sims.size() * shards, [&](size_t cell) {
+        ServingSim &sim = *sims[cell / shards];
+        const size_t s = cell % shards;
+        sim.replayShard(sim.shards_[s], chunk, perShard[s]);
+        return 0;
+    });
+    // Each sim's accounting touches only its own stats.
+    exp::runSweep(sims.size(), [&](size_t k) {
+        sims[k]->account(chunk);
+        return 0;
+    });
+}
+
+bool
+ServingSim::alive(int nd, double t) const
+{
+    for (const NodeCrash &c : cfg_.crashes)
+        if (c.node == nd && t >= c.time && t < c.time + c.downSeconds)
+            return false;
+    return true;
+}
+
+bool
+ServingSim::shedNow(const Request &r) const
+{
     // Pure function of (arrival, decile) and the config, so shedding
     // decisions are identical on every worker layout.
-    auto shedNow = [&](const Request &r) {
-        for (const BrownoutWindow &w : cfg_.brownouts)
-            if (r.arrival >= w.start && r.arrival < w.end &&
-                static_cast<int>(r.decile) >= 10 - w.shedDeciles)
-                return true;
-        return false;
-    };
+    for (const BrownoutWindow &w : cfg_.brownouts)
+        if (r.arrival >= w.start && r.arrival < w.end &&
+            static_cast<int>(r.decile) >= 10 - w.shedDeciles)
+            return true;
+    return false;
+}
 
-    // Simulate the shards in parallel. Every per-request quantity is a
-    // pure function of the stream and the config, and the workers
-    // write into disjoint slots of the index-ordered arrays, so the
-    // worker count cannot change a single byte of the result.
-    std::vector<double> latSeconds(n);
-    std::vector<double> finishAt(n);
-    std::vector<int32_t> servedOn(n);
-    struct ShardAgg {
-        uint64_t migrations = 0, failovers = 0;
-    };
-    std::vector<ShardAgg> aggs =
-        exp::runSweep(static_cast<size_t>(shards), [&](size_t s) {
-            ShardAgg agg;
-            int node = cfg_.placement[s];
-            double clock = 0.0;
-            int coldLeft = 0;
-            const std::vector<Event> &evs = schedule[s];
-            size_t ei = 0;
+bool
+ServingSim::inBrownout(double t) const
+{
+    for (const BrownoutWindow &w : cfg_.brownouts)
+        if (t >= w.start && t < w.end)
+            return true;
+    return false;
+}
 
-            auto apply = [&](const Event &ev) {
-                if (ev.isCrash) {
-                    if (ev.node != node)
-                        return;
-                    // Failure-domain-aware failover: the dead node's
-                    // rack is usually failing with it (ToR or PDU), so
-                    // prefer the lowest-index survivor OUTSIDE that
-                    // rack and only fall back to a rack-mate when no
-                    // other rack has capacity. An empty nodeRack map
-                    // keeps the legacy rack-blind scan byte-for-byte.
-                    const int deadRack = cfg_.nodeRack.empty()
-                                             ? -1
-                                             : cfg_.nodeRack[static_cast<
-                                                   size_t>(ev.node)];
-                    int survivor = -1;
-                    if (deadRack >= 0) {
-                        for (int cand = 0; cand < numNodes; ++cand) {
-                            if (cand != ev.node &&
-                                cfg_.nodeRack[static_cast<size_t>(
-                                    cand)] != deadRack &&
-                                alive(cand, ev.time)) {
-                                survivor = cand;
-                                break;
-                            }
-                        }
-                    }
-                    if (survivor < 0) {
-                        for (int cand = 0; cand < numNodes; ++cand) {
-                            if (cand != ev.node &&
-                                alive(cand, ev.time)) {
-                                survivor = cand;
-                                break;
-                            }
-                        }
-                    }
-                    if (survivor >= 0) {
-                        clock = std::max(clock, ev.time) +
-                                prof_.failoverSeconds;
-                        node = survivor;
-                    } else {
-                        // No survivor: wait out the outage in place.
-                        clock = std::max(clock, ev.time + ev.down) +
-                                prof_.failoverSeconds;
-                    }
-                    coldLeft = prof_.coldRequests;
-                    ++agg.failovers;
-                } else {
-                    if (ev.node == node || !alive(ev.node, ev.time))
-                        return;
-                    clock = std::max(clock, ev.time) +
-                            prof_.migrateSeconds;
-                    node = ev.node;
-                    coldLeft = prof_.coldRequests;
-                    ++agg.migrations;
-                }
-            };
-            auto serviceSeconds = [&](const Request &r) {
-                const size_t isa =
-                    static_cast<size_t>(cfg_.nodes[node].isa);
-                double base = r.isGet ? prof_.getSeconds[isa]
-                                      : prof_.setSeconds[isa];
-                // Key-dependent spread (value size / probe length):
-                // 0.75x .. 1.24x, fixed per (key, op).
-                const uint64_t h = mix64(
-                    static_cast<uint64_t>(r.key) * 2 +
-                    (r.isGet ? 1 : 0));
-                base *= 0.75 +
-                        static_cast<double>(h & 63) / 128.0;
-                if (coldLeft > 0)
-                    base *= 1.0 + prof_.coldFactor *
-                                      static_cast<double>(coldLeft) /
-                                      prof_.coldRequests;
-                return base;
-            };
-
-            for (uint32_t idx : perShard[s]) {
-                const Request &r = reqs[idx];
-                if (shedNow(r)) {
-                    // Shed at the door: no service, no queueing, and
-                    // the shard clock stays put. Events up to the
-                    // arrival still fire so node state keeps moving.
-                    while (ei < evs.size() &&
-                           evs[ei].time <= r.arrival)
-                        apply(evs[ei++]);
-                    latSeconds[idx] = 0.0;
-                    finishAt[idx] = r.arrival;
-                    servedOn[idx] = -1;
-                    continue;
-                }
-                for (;;) {
-                    double start = std::max(r.arrival, clock);
-                    while (ei < evs.size() &&
-                           evs[ei].time <= start) {
-                        apply(evs[ei++]);
-                        start = std::max(r.arrival, clock);
-                    }
-                    const double done = start + serviceSeconds(r);
-                    if (ei < evs.size() && evs[ei].time < done) {
-                        // The event preempts the in-flight request:
-                        // for a crash the work is lost; for a live
-                        // migration the request is replayed on the
-                        // destination after the pause. Either way its
-                        // latency keeps growing until it completes.
-                        apply(evs[ei++]);
-                        continue;
-                    }
-                    clock = done;
-                    if (coldLeft > 0)
-                        --coldLeft;
-                    latSeconds[idx] = done - r.arrival;
-                    finishAt[idx] = done;
-                    servedOn[idx] = node;
+void
+ServingSim::apply(Shard &sh, const Event &ev) const
+{
+    const int numNodes = static_cast<int>(cfg_.nodes.size());
+    if (ev.isCrash) {
+        if (ev.node != sh.node)
+            return;
+        // Failure-domain-aware failover: the dead node's rack is
+        // usually failing with it (ToR or PDU), so prefer the
+        // lowest-index survivor OUTSIDE that rack and only fall back
+        // to a rack-mate when no other rack has capacity. An empty
+        // nodeRack map keeps the legacy rack-blind scan byte-for-byte.
+        const int deadRack =
+            cfg_.nodeRack.empty()
+                ? -1
+                : cfg_.nodeRack[static_cast<size_t>(ev.node)];
+        int survivor = -1;
+        if (deadRack >= 0) {
+            for (int cand = 0; cand < numNodes; ++cand) {
+                if (cand != ev.node &&
+                    cfg_.nodeRack[static_cast<size_t>(cand)] !=
+                        deadRack &&
+                    alive(cand, ev.time)) {
+                    survivor = cand;
                     break;
                 }
             }
-            return agg;
-        });
-
-    // Accounting in global arrival order: histogram fills and counter
-    // bumps happen in one fixed sequence regardless of worker count.
-    ServingResult res;
-    res.requests = n;
-    res.servedByNode.assign(cfg_.nodes.size(), 0);
-    res.servedByNodeAfterCrash.assign(cfg_.nodes.size(), 0);
-    for (const ShardAgg &a : aggs) {
-        res.migrations += a.migrations;
-        res.failovers += a.failovers;
+        }
+        if (survivor < 0) {
+            for (int cand = 0; cand < numNodes; ++cand) {
+                if (cand != ev.node && alive(cand, ev.time)) {
+                    survivor = cand;
+                    break;
+                }
+            }
+        }
+        if (survivor >= 0) {
+            sh.clock = std::max(sh.clock, ev.time) + prof_.failoverSeconds;
+            sh.node = survivor;
+        } else {
+            // No survivor: wait out the outage in place.
+            sh.clock = std::max(sh.clock, ev.time + ev.down) +
+                       prof_.failoverSeconds;
+        }
+        sh.coldLeft = prof_.coldRequests;
+        ++sh.failovers;
+    } else {
+        if (ev.node == sh.node || !alive(ev.node, ev.time))
+            return;
+        sh.clock = std::max(sh.clock, ev.time) + prof_.migrateSeconds;
+        sh.node = ev.node;
+        sh.coldLeft = prof_.coldRequests;
+        ++sh.migrations;
     }
-    migrations_.add(res.migrations);
-    failovers_.add(res.failovers);
+}
 
-    double firstCrash = -1.0;
-    for (const NodeCrash &c : cfg_.crashes)
-        if (firstCrash < 0.0 || c.time < firstCrash)
-            firstCrash = c.time;
+double
+ServingSim::serviceSeconds(const Shard &sh, const Request &r) const
+{
+    const size_t isa = static_cast<size_t>(cfg_.nodes[sh.node].isa);
+    double base = r.isGet ? prof_.getSeconds[isa] : prof_.setSeconds[isa];
+    // Key-dependent spread (value size / probe length): 0.75x ..
+    // 1.24x, fixed per (key, op).
+    const uint64_t h =
+        mix64(static_cast<uint64_t>(r.key) * 2 + (r.isGet ? 1 : 0));
+    base *= 0.75 + static_cast<double>(h & 63) / 128.0;
+    if (sh.coldLeft > 0)
+        base *= 1.0 + prof_.coldFactor *
+                          static_cast<double>(sh.coldLeft) /
+                          prof_.coldRequests;
+    return base;
+}
 
-    auto inBrownout = [&](double t) {
-        for (const BrownoutWindow &w : cfg_.brownouts)
-            if (t >= w.start && t < w.end)
-                return true;
-        return false;
-    };
+void
+ServingSim::replayShard(Shard &sh, std::span<const Request> chunk,
+                        const std::vector<uint32_t> &idx)
+{
+    const std::vector<Event> &evs = sh.events;
+    size_t &ei = sh.nextEvent;
+    for (uint32_t i : idx) {
+        const Request &r = chunk[i];
+        Outcome &out = outcomes_[i];
+        if (shedNow(r)) {
+            // Shed at the door: no service, no queueing, and the shard
+            // clock stays put. Events up to the arrival still fire so
+            // node state keeps moving.
+            while (ei < evs.size() && evs[ei].time <= r.arrival)
+                apply(sh, evs[ei++]);
+            out = Outcome{};
+            continue;
+        }
+        for (;;) {
+            double start = std::max(r.arrival, sh.clock);
+            while (ei < evs.size() && evs[ei].time <= start) {
+                apply(sh, evs[ei++]);
+                start = std::max(r.arrival, sh.clock);
+            }
+            const double done = start + serviceSeconds(sh, r);
+            if (ei < evs.size() && evs[ei].time < done) {
+                // The event preempts the in-flight request: for a
+                // crash the work is lost; for a live migration the
+                // request is replayed on the destination after the
+                // pause. Either way its latency keeps growing until it
+                // completes.
+                apply(sh, evs[ei++]);
+                continue;
+            }
+            sh.clock = done;
+            if (sh.coldLeft > 0)
+                --sh.coldLeft;
+            out.latSeconds = done - r.arrival;
+            out.servedOn = sh.node;
+            out.afterCrash = firstCrash_ >= 0.0 && done > firstCrash_;
+            break;
+        }
+    }
+}
 
-    for (size_t i = 0; i < n; ++i) {
+void
+ServingSim::account(std::span<const Request> chunk)
+{
+    // Global arrival order: histogram fills and counter bumps happen
+    // in one fixed sequence regardless of worker count and chunking.
+    for (size_t j = 0; j < chunk.size(); ++j) {
+        const uint64_t i = res_.requests++;
         ++requests_;
-        if (servedOn[i] < 0) {
+        if (i % 64 == 0)
+            violated_.push_back(0);
+        const Outcome &o = outcomes_[j];
+        if (o.servedOn < 0) {
             // Shed at the door: counted as a request (and as shed),
             // but it never ran, so it contributes no latency sample,
             // no GET/SET split, and no SLO violation.
             ++shed_;
-            ++res.shed;
-            res.violationsByDecile[i * 10 / (n ? n : 1)] =
-                res.sloViolations;
+            ++res_.shed;
             continue;
         }
-        const double us = latSeconds[i] * 1e6;
+        const double us = o.latSeconds * 1e6;
         latencyUs_.add(us);
-        if (reqs[i].isGet) {
+        if (chunk[j].isGet) {
             ++gets_;
-            ++res.gets;
+            ++res_.gets;
         } else {
             ++sets_;
-            ++res.sets;
+            ++res_.sets;
         }
         if (us > cfg_.sloUs) {
             ++sloViolations_;
-            ++res.sloViolations;
-            if (inBrownout(reqs[i].arrival)) {
+            ++res_.sloViolations;
+            violated_.back() |= uint64_t{1} << (i % 64);
+            if (inBrownout(chunk[j].arrival)) {
                 ++violationsDegraded_;
-                ++res.violationsDegraded;
+                ++res_.violationsDegraded;
             }
         }
-        const int nd = servedOn[i];
-        ++nodeServed_[static_cast<size_t>(nd)];
-        ++res.servedByNode[static_cast<size_t>(nd)];
-        if (firstCrash >= 0.0 && finishAt[i] > firstCrash)
-            ++res.servedByNodeAfterCrash[static_cast<size_t>(nd)];
-        res.violationsByDecile[i * 10 / (n ? n : 1)] =
-            res.sloViolations;
+        const size_t nd = static_cast<size_t>(o.servedOn);
+        ++nodeServed_[nd];
+        ++res_.servedByNode[nd];
+        if (o.afterCrash)
+            ++res_.servedByNodeAfterCrash[nd];
     }
+}
+
+ServingResult
+ServingSim::finish()
+{
+    ServingResult res = std::move(res_);
+    res_ = ServingResult{};
+    for (const Shard &sh : shards_) {
+        res.migrations += sh.migrations;
+        res.failovers += sh.failovers;
+    }
+    shards_.clear();
+    migrations_.add(res.migrations);
+    failovers_.add(res.failovers);
+
+    // Cumulative violations after each tenth of the stream: request i
+    // falls in tenth i*10/n, so tenth d ends before request
+    // ceil((d+1)*n/10). A tenth no request falls in (n < 10) keeps 0
+    // until the monotone pass below.
+    const uint64_t n = res.requests;
+    uint64_t prevEnd = 0;
+    for (uint64_t d = 0; d < res.violationsByDecile.size(); ++d) {
+        const uint64_t end = ((d + 1) * n + 9) / 10;
+        if (end == prevEnd)
+            continue;
+        res.violationsByDecile[d] = countLeadingBits(violated_, end);
+        prevEnd = end;
+    }
+    violated_.clear();
     for (size_t d = 1; d < res.violationsByDecile.size(); ++d)
         res.violationsByDecile[d] = std::max(
             res.violationsByDecile[d], res.violationsByDecile[d - 1]);

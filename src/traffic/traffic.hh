@@ -17,15 +17,26 @@
  * tail latency under "migrate under load" can be compared against a
  * static placement.
  *
- * Determinism is the contract: the stream is generated sequentially
- * from one Rng, shards simulate independently (runSweep-parallel, but
- * every per-request quantity depends only on the stream and the
- * config), and the final accounting pass -- histogram fills, SLO
- * counters -- runs in global request order. Same seed therefore means
- * byte-identical stats output regardless of XISA_BENCH_THREADS. The
- * few transcendentals involved (exp/log/pow for the samplers) are
- * implemented here from IEEE-exact primitives instead of libm, so the
- * bytes also hold across platforms and libm versions.
+ * Determinism is the contract: same seed means byte-identical stats
+ * output regardless of XISA_BENCH_THREADS. The few transcendentals
+ * involved (exp/log/pow for the samplers) are implemented here from
+ * IEEE-exact primitives instead of libm, so the bytes also hold across
+ * platforms and libm versions.
+ *
+ * The stream is generated and replayed in fixed-size chunks, so a run
+ * holds one chunk of requests at a time, not the whole stream.
+ * RequestStream builds each chunk in three steps: it draws the raw Rng
+ * values serially in the one-at-a-time order (arrival uniform, key
+ * draw, GET/SET uniform), maps them to inter-arrival gaps, keys,
+ * shards and deciles in parallel -- each a pure function of its own
+ * draws -- and sums the gaps into arrival times serially. The stream is
+ * therefore the sequential one bit for bit at any worker count.
+ * ServingSim replays chunk by chunk: shards simulate in parallel and
+ * carry their node, clock, cold count and event cursor from one chunk
+ * to the next, and the accounting pass -- histogram fills, SLO
+ * counters -- runs in global request order. The one quantity that
+ * needs the final request count, the per-tenth violation curve, is
+ * read at the end from one bit per request.
  */
 
 #ifndef XISA_TRAFFIC_TRAFFIC_HH
@@ -33,6 +44,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,10 +108,52 @@ class ZipfGenerator
     ZipfGenerator(int64_t n, double theta);
     int64_t sample(Rng &rng) const;
 
+    /** True when ranks are uniform: sample() then draws rng.below(n)
+     *  instead of one uniform double. */
+    bool uniformRanks() const { return theta_ <= 0.0 || n_ <= 1; }
+    /** The rank sample() returns for uniform draw `u` (skewed case). */
+    int64_t rank(double u) const;
+
   private:
     int64_t n_ = 1;
     double theta_ = 0;
     double alpha_ = 0, zetan_ = 0, eta_ = 0, zetaHalf_ = 0;
+};
+
+/**
+ * The request stream of a TrafficConfig, yielded in arrival-ordered
+ * chunks of at most kChunkRequests (see the file comment for why the
+ * chunks are bit-identical to one sequential loop).
+ */
+class RequestStream
+{
+  public:
+    /** Requests per chunk: large enough that the per-chunk sweeps'
+     *  thread start-up stays in the noise, small enough that a chunk
+     *  and its scratch arrays stay a few MB. */
+    static constexpr size_t kChunkRequests = size_t{1} << 16;
+
+    explicit RequestStream(const TrafficConfig &cfg);
+
+    /** The next chunk; empty once the stream has ended. The reference
+     *  stays valid until the next call. */
+    const std::vector<Request> &next();
+
+  private:
+    TrafficConfig cfg_;
+    Rng rng_;
+    ZipfGenerator zipf_;
+    double clock_ = 0.0; ///< arrival time of the last request yielded
+    bool done_ = false;
+    std::vector<Request> chunk_;
+    /** Per slot of the chunk: the arrival uniform, then the gap. */
+    std::vector<double> gap_;
+    /** Per slot: the Zipf uniform (skewed keys only). */
+    std::vector<double> keyDraw_;
+    /** Per slot: the popularity rank. */
+    std::vector<uint64_t> rank_;
+    /** Per slot: the GET/SET uniform. */
+    std::vector<double> getDraw_;
 };
 
 /** Generate the full request stream, sorted by arrival time. */
@@ -211,10 +265,13 @@ struct ServingResult {
 };
 
 /**
- * Replays a request stream against a ServingConfig. Shards simulate in
- * parallel (runSweep); accounting and histogram fills run in global
- * request order, so stats bytes are independent of the worker count.
- * Stats register on `reg` under `prefix` (e.g. "serving.static").
+ * Replays a request stream against a ServingConfig, either whole
+ * (run) or chunk by chunk as it is generated (begin, feed..., finish).
+ * Shards simulate in parallel (runSweep); accounting and histogram
+ * fills run in global request order, so stats bytes are independent
+ * of the worker count and of the chunking. Stats register on `reg`
+ * under `prefix` (e.g. "serving.static") and accumulate across
+ * replays.
  */
 class ServingSim
 {
@@ -222,11 +279,62 @@ class ServingSim
     ServingSim(ServingConfig cfg, ServingProfile prof,
                obs::StatRegistry &reg, const std::string &prefix);
 
+    /** begin(), feed `reqs` in chunks of RequestStream::kChunkRequests,
+     *  finish(). */
     ServingResult run(const std::vector<Request> &reqs);
+
+    /** Start a replay; panics on an inconsistent config. */
+    void begin();
+    /** Replay the next requests of the stream, in arrival order. */
+    void feed(std::span<const Request> chunk);
+    /**
+     * Replay one chunk through several begun sims of the same shard
+     * count (the scenarios of one stream): every (sim, shard) cell in
+     * one runSweep, then each sim's accounting side by side.
+     */
+    static void feedAll(const std::vector<ServingSim *> &sims,
+                        std::span<const Request> chunk);
+    /** End the replay and return its result. */
+    ServingResult finish();
 
     const ServingConfig &config() const { return cfg_; }
 
   private:
+    /** One entry of a shard's schedule: a migration of this shard or
+     *  any node crash (it only bites if the shard sits on the node). */
+    struct Event {
+        double time = 0;
+        bool isCrash = false;
+        int node = 0;    ///< migration destination / crashed node
+        double down = 0; ///< crash only
+    };
+    /** A shard's replay state, carried from chunk to chunk. */
+    struct Shard {
+        std::vector<Event> events; ///< sorted by time
+        size_t nextEvent = 0;
+        int node = 0;
+        double clock = 0.0;
+        int coldLeft = 0;
+        uint64_t migrations = 0, failovers = 0;
+    };
+    /** What the shard replay decided for one request of the chunk. */
+    struct Outcome {
+        double latSeconds = 0;
+        int32_t servedOn = -1; ///< node; -1 = shed at the door
+        bool afterCrash = false; ///< finished after the first crash
+    };
+
+    bool alive(int node, double t) const;
+    bool shedNow(const Request &r) const;
+    bool inBrownout(double t) const;
+    void apply(Shard &sh, const Event &ev) const;
+    double serviceSeconds(const Shard &sh, const Request &r) const;
+    /** Replay chunk[idx...] (one shard's requests) into outcomes_. */
+    void replayShard(Shard &sh, std::span<const Request> chunk,
+                     const std::vector<uint32_t> &idx);
+    /** Fold the chunk's outcomes into the stats, in arrival order. */
+    void account(std::span<const Request> chunk);
+
     ServingConfig cfg_;
     ServingProfile prof_;
     obs::Counter requests_, gets_, sets_;
@@ -236,6 +344,16 @@ class ServingSim
     obs::Counter shed_, violationsDegraded_;
     obs::Histogram latencyUs_;
     std::vector<obs::Counter> nodeServed_;
+
+    // --- state of the replay in progress
+    std::vector<Shard> shards_;
+    std::vector<Outcome> outcomes_; ///< one per request of the chunk
+    /** One bit per request replayed so far: did it violate the SLO.
+     *  finish() reads the per-tenth curve from it, since a request's
+     *  tenth depends on the final request count. */
+    std::vector<uint64_t> violated_;
+    double firstCrash_ = -1.0;
+    ServingResult res_;
 };
 
 } // namespace xisa::traffic

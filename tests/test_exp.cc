@@ -495,6 +495,35 @@ TEST(Spec, ServingRejectsBadTraffic)
     expectFail("[crashes]\nplan = 7@0.5\n");
 }
 
+TEST(Spec, ServingRejectsUnboundedTrafficNamingTheLine)
+{
+    // Each would otherwise reach the generator: NaN compares false in
+    // every range check, and the request cap must cover the quick run.
+    auto expectFailAt = [](const std::string &traffic, int line) {
+        Config c = Config::parseString(
+            "kind = serving\nfigure = F\ntitle = T\n"
+            "machines = xeno, aether\n[traffic]\n" + traffic,
+            "serving-bad");
+        try {
+            parseExperiment(c);
+            ADD_FAILURE() << traffic << " was accepted";
+        } catch (const ConfigError &e) {
+            const std::string where =
+                "serving-bad:" + std::to_string(line) + ": [traffic]";
+            EXPECT_EQ(std::string(e.what()).rfind(where, 0), 0u)
+                << e.what();
+        }
+    };
+    expectFailAt("request_hz = nan\n", 6);
+    expectFailAt("clients = 5\nduration_quick = 999999999999\n", 7);
+    expectFailAt("request_hz = inf\n", 6);
+    expectFailAt("duration = 1\nduration_quick = -inf\n", 7);
+    expectFailAt("slo_us = nan\n", 6);
+    expectFailAt("zipf_skew = nan\n", 6);
+    expectFailAt("get_fraction = nan\n", 6);
+    expectFailAt("clients = 1000000\nrequest_hz = 100\n", 7);
+}
+
 // --- Spec: [topology] -----------------------------------------------
 
 TEST(Spec, TopologyParsedAndValidated)

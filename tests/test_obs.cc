@@ -7,8 +7,10 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "compiler/compile.hh"
+#include "obs/json.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "testprogs.hh"
@@ -307,6 +310,172 @@ TEST(StatRegistry, HistogramExactPercentilePowerLaw)
     expectTailPercentilesExact(samples, "power-law");
 }
 
+/**
+ * The std::map-bucketed histogram the flat one replaced, kept whole as
+ * the oracle: same bucketing, same percentile walk, same renderings.
+ */
+struct MapHistogram {
+    std::map<int, uint64_t> buckets;
+    uint64_t count = 0;
+    double sum = 0, lo = 0, hi = 0;
+
+    static int
+    bucketIndex(double v)
+    {
+        if (!(v > 0.0) || !std::isfinite(v))
+            return INT32_MIN;
+        int e = 0;
+        double m = std::frexp(v, &e);
+        int sub = static_cast<int>((m - 0.5) * 2.0 * 32);
+        return e * 32 + std::min(sub, 31);
+    }
+    static double
+    bucketEdge(int idx, int offset)
+    {
+        int e = idx >= 0 ? idx / 32 : -((-idx + 31) / 32);
+        int sub = idx - e * 32;
+        return std::ldexp(0.5 + static_cast<double>(sub + offset) / 64.0,
+                          e);
+    }
+    void
+    add(double v)
+    {
+        if (count == 0) {
+            lo = hi = v;
+        } else {
+            if (v < lo)
+                lo = v;
+            if (v > hi)
+                hi = v;
+        }
+        ++count;
+        sum += v;
+        ++buckets[bucketIndex(v)];
+    }
+    void reset() { *this = MapHistogram{}; }
+    double min() const { return count ? lo : 0.0; }
+    double max() const { return count ? hi : 0.0; }
+    double mean() const { return count ? sum / count : 0.0; }
+    double
+    percentile(double q) const
+    {
+        if (count == 0)
+            return 0.0;
+        if (q <= 0.0)
+            return lo;
+        if (q >= 1.0)
+            return hi;
+        uint64_t rank = static_cast<uint64_t>(
+            std::ceil(q * static_cast<double>(count)));
+        rank = std::max<uint64_t>(rank, 1);
+        uint64_t seen = 0;
+        for (const auto &[idx, n] : buckets) {
+            seen += n;
+            if (seen >= rank) {
+                if (idx == INT32_MIN)
+                    return lo;
+                double mid =
+                    0.5 * (bucketEdge(idx, 0) + bucketEdge(idx, 1));
+                return std::min(std::max(mid, lo), hi);
+            }
+        }
+        return hi;
+    }
+    std::string
+    text() const
+    {
+        std::ostringstream os;
+        os << "count=" << count << " mean=" << mean() << " min=" << min()
+           << " p50=" << percentile(0.5) << " p90=" << percentile(0.9)
+           << " max=" << max();
+        return os.str();
+    }
+    std::string
+    json() const
+    {
+        std::ostringstream os;
+        obs::JsonWriter w(os);
+        w.beginObject(obs::JsonWriter::Layout::Compact)
+            .key("count").number(count)
+            .key("sum").number(sum, "%g")
+            .key("min").number(min(), "%g")
+            .key("max").number(max(), "%g")
+            .key("mean").number(mean(), "%g")
+            .key("p50").number(percentile(0.5), "%g")
+            .key("p90").number(percentile(0.9), "%g")
+            .key("p99").number(percentile(0.99), "%g")
+            .end();
+        return os.str();
+    }
+};
+
+/** Flat histogram == map oracle: every percentile on a fine q grid
+ *  (bit for bit, so a NaN min/max compares too) and both renderings. */
+void
+expectMatchesMapOracle(const obs::Histogram &h, const MapHistogram &ref,
+                       const char *what)
+{
+    for (int i = 0; i <= 2000; ++i) {
+        const double q = i / 2000.0;
+        EXPECT_EQ(std::bit_cast<uint64_t>(h.percentile(q)),
+                  std::bit_cast<uint64_t>(ref.percentile(q)))
+            << what << " q=" << q;
+    }
+    std::ostringstream text;
+    h.printValue(text);
+    EXPECT_EQ(text.str(), ref.text()) << what;
+    std::ostringstream json;
+    obs::JsonWriter w(json);
+    h.writeJson(w);
+    EXPECT_EQ(json.str(), ref.json()) << what;
+}
+
+TEST(StatRegistry, FlatHistogramMatchesMapOracle)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    // Upward from the middle, then down past it (the bucket array
+    // grows at both ends), then the non-positive and non-finite
+    // samples, subnormals and both ends of the double range.
+    std::vector<double> before = {5.0, 80.0, 1e6, 3.0, 0.25, 1e-3,
+                                  0.0, -7.5, nan, inf, -inf, tiny,
+                                  1e-310, 1e-300, 1e300,
+                                  std::numeric_limits<double>::max()};
+    uint64_t state = 0x243f6a8885a308d3ull;
+    for (int i = 0; i < 5000; ++i) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        const double u =
+            static_cast<double>(state >> 11) / 9007199254740992.0;
+        before.push_back(std::pow(10.0, 12.0 * u - 6.0));
+    }
+    // After reset(): non-positive first, then a descending run that
+    // keeps growing the array downward, then upward again.
+    std::vector<double> after = {0.0, -1.0, -inf};
+    for (double v = 1e4; v > 1e-4; v /= 1.07)
+        after.push_back(v);
+    for (double v : {1e5, 2.5e7, 7.0, nan})
+        after.push_back(v);
+
+    obs::StatRegistry reg;
+    obs::Histogram h(reg, "h");
+    MapHistogram ref;
+    expectMatchesMapOracle(h, ref, "empty");
+    for (double v : before) {
+        h.add(v);
+        ref.add(v);
+    }
+    expectMatchesMapOracle(h, ref, "before reset");
+    h.reset();
+    ref.reset();
+    expectMatchesMapOracle(h, ref, "reset");
+    for (double v : after) {
+        h.add(v);
+        ref.add(v);
+    }
+    expectMatchesMapOracle(h, ref, "after reset");
+}
+
 TEST(StatRegistry, ScopedStatEpochReadsDeltas)
 {
     obs::StatRegistry reg;
@@ -447,6 +616,50 @@ TEST(Tracer, RingOverwriteDropsOrphanedEnd)
     EXPECT_EQ(countOccurrences(s, "\"ph\":\"E\""), 0u);
     EXPECT_EQ(countOccurrences(s, "\"ph\":\"I\""), 3u);
     expectBalancedJson(s);
+}
+
+/** "ts" values in export order. */
+std::vector<double>
+timestamps(const std::string &json)
+{
+    std::vector<double> out;
+    const std::string key = "\"ts\":";
+    for (size_t pos = json.find(key); pos != std::string::npos;
+         pos = json.find(key, pos + 1))
+        out.push_back(std::stod(json.substr(pos + key.size())));
+    return out;
+}
+
+TEST(Tracer, RingGrowsOnDemandThenWrapsInOrder)
+{
+    obs::Tracer &tr = obs::Tracer::global();
+    tr.clear();
+    tr.setCapacityPerTrack(8);
+    for (int i = 1; i <= 5; ++i)
+        tr.instant(4, "t", "e", i * 1e-6);
+    tr.instant(9, "t", "quiet", 1e-6);
+    // A ring holds what its track recorded, not a full ring.
+    EXPECT_EQ(tr.size(), 6u);
+    EXPECT_EQ(tr.dropped(), 0u);
+    for (int i = 6; i <= 11; ++i)
+        tr.instant(4, "t", "e", i * 1e-6);
+    // Track 4 filled at 8 events and then overwrote its 3 oldest.
+    EXPECT_EQ(tr.size(), 9u);
+    EXPECT_EQ(tr.dropped(), 3u);
+    std::ostringstream full;
+    tr.exportChromeTrace(full);
+    EXPECT_EQ(timestamps(full.str()),
+              (std::vector<double>{4, 5, 6, 7, 8, 9, 10, 11, 1}));
+    // Raising the capacity of a ring that already wrapped keeps it
+    // wrapping oldest-first.
+    tr.setCapacityPerTrack(1 << 16);
+    tr.instant(4, "t", "e", 12e-6);
+    EXPECT_EQ(tr.dropped(), 4u);
+    std::ostringstream raised;
+    tr.exportChromeTrace(raised);
+    tr.clear();
+    EXPECT_EQ(timestamps(raised.str()),
+              (std::vector<double>{5, 6, 7, 8, 9, 10, 11, 12, 1}));
 }
 
 #if XISA_TRACE

@@ -5,13 +5,15 @@
  * Zipf popularity, GET/SET mix, key-hash sharding), and the serving
  * simulator's core contracts -- byte-determinism across worker counts,
  * live migration relieving an overloaded shard, and result fields
- * agreeing with the registered counters.
+ * agreeing with the registered counters -- plus the chunked stream and
+ * replay against the one-at-a-time loop and the whole-stream run.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -183,6 +185,182 @@ twoNodeConfig(int shards)
     cfg.placement.assign(shards, 1);
     cfg.sloUs = 800.0;
     return cfg;
+}
+
+/**
+ * The one-request-at-a-time generator loop that RequestStream
+ * replaced, kept as the oracle for the chunked stream.
+ */
+std::vector<Request>
+serialRequests(const TrafficConfig &cfg)
+{
+    std::vector<Request> out;
+    const double rate = cfg.totalRate();
+    Rng rng(cfg.seed);
+    traffic::ZipfGenerator zipf(cfg.keySpace, cfg.zipfSkew);
+    const uint64_t keySpace = static_cast<uint64_t>(cfg.keySpace);
+    const uint64_t shards = static_cast<uint64_t>(cfg.shards);
+    double t = 0.0;
+    for (;;) {
+        t += -traffic::detLog(1.0 - rng.uniform()) / rate;
+        if (t >= cfg.durationSeconds)
+            break;
+        Request r;
+        r.arrival = t;
+        const uint64_t rank = static_cast<uint64_t>(zipf.sample(rng));
+        r.key = static_cast<uint32_t>(traffic::mix64(rank) % keySpace);
+        r.shard = static_cast<uint16_t>(traffic::mix64(r.key) % shards);
+        r.isGet = rng.uniform() < cfg.getFraction;
+        r.decile = static_cast<uint8_t>(rank * 10 / keySpace);
+        out.push_back(r);
+    }
+    return out;
+}
+
+/** Index of the first request where the streams differ, or -1. */
+long
+firstDifference(const std::vector<Request> &a,
+                const std::vector<Request> &b)
+{
+    for (size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+        if (a[i].arrival != b[i].arrival || a[i].key != b[i].key ||
+            a[i].shard != b[i].shard || a[i].isGet != b[i].isGet ||
+            a[i].decile != b[i].decile)
+            return static_cast<long>(i);
+    return a.size() == b.size() ? -1 : static_cast<long>(
+                                           std::min(a.size(), b.size()));
+}
+
+TEST(Traffic, ChunkedStreamMatchesSerialLoop)
+{
+    // ~2.3 chunks of requests, so chunk boundaries and the overdrawn
+    // tail of the last chunk are both crossed.
+    TrafficConfig cfg = smallConfig();
+    cfg.requestHz = 300.0;
+    struct Keys {
+        double skew;
+        int64_t space;
+    };
+    for (const Keys &k : {Keys{0.0, 4096}, Keys{0.99, 4096},
+                          Keys{0.99, 10007}, Keys{0.0, 10007}}) {
+        cfg.zipfSkew = k.skew;
+        cfg.keySpace = k.space;
+        const std::vector<Request> oracle = serialRequests(cfg);
+        ASSERT_GT(oracle.size(), 2 * traffic::RequestStream::kChunkRequests);
+        for (const char *threads : {"1", "3", "8"}) {
+            setenv("XISA_BENCH_THREADS", threads, 1);
+            EXPECT_EQ(firstDifference(traffic::generateRequests(cfg),
+                                      oracle),
+                      -1)
+                << "skew " << k.skew << " key_space " << k.space
+                << " threads " << threads;
+        }
+        unsetenv("XISA_BENCH_THREADS");
+    }
+
+    // Chunks come full until the last one, which ends the stream.
+    traffic::RequestStream stream(cfg);
+    size_t total = 0;
+    for (;;) {
+        const std::vector<Request> &chunk = stream.next();
+        total += chunk.size();
+        if (chunk.size() < traffic::RequestStream::kChunkRequests)
+            break;
+    }
+    EXPECT_TRUE(stream.next().empty());
+    EXPECT_EQ(total, serialRequests(cfg).size());
+}
+
+/** Every field of two results, for the chunked-replay oracle. */
+void
+expectSameResult(const ServingResult &a, const ServingResult &b,
+                 const std::string &what)
+{
+    EXPECT_EQ(a.requests, b.requests) << what;
+    EXPECT_EQ(a.gets, b.gets) << what;
+    EXPECT_EQ(a.sets, b.sets) << what;
+    EXPECT_EQ(a.sloViolations, b.sloViolations) << what;
+    EXPECT_EQ(a.violationsDegraded, b.violationsDegraded) << what;
+    EXPECT_EQ(a.shed, b.shed) << what;
+    EXPECT_EQ(a.migrations, b.migrations) << what;
+    EXPECT_EQ(a.failovers, b.failovers) << what;
+    EXPECT_EQ(a.p50Us, b.p50Us) << what;
+    EXPECT_EQ(a.p99Us, b.p99Us) << what;
+    EXPECT_EQ(a.p999Us, b.p999Us) << what;
+    EXPECT_EQ(a.maxUs, b.maxUs) << what;
+    EXPECT_EQ(a.violationsByDecile, b.violationsByDecile) << what;
+    EXPECT_EQ(a.servedByNode, b.servedByNode) << what;
+    EXPECT_EQ(a.servedByNodeAfterCrash, b.servedByNodeAfterCrash) << what;
+}
+
+TEST(Traffic, ChunkedReplayMatchesWholeRun)
+{
+    // Two racks of a fast and a slow node; shards migrate (shard 0
+    // there and back, so a replayed event would show), node 1 crashes
+    // mid-run (rack-aware failover), and a brownout sheds the coldest
+    // deciles while it is down.
+    TrafficConfig cfg = smallConfig();
+    cfg.requestHz = 40.0;
+    const std::vector<Request> reqs = traffic::generateRequests(cfg);
+    ServingConfig sc;
+    sc.nodes = {makeXenoServer(), makeAetherServer(), makeXenoServer(),
+                makeAetherServer()};
+    sc.nodeRack = {0, 0, 1, 1};
+    sc.placement = {1, 1, 3, 3};
+    sc.sloUs = 800.0;
+    sc.migrations = {{0, 0.1, 0}, {2, 0.15, 2}, {1, 0.3, 2}, {0, 0.32, 1}};
+    sc.crashes = {{1, 0.2, 0.1}, {3, 0.35, 0.05}};
+    sc.brownouts = {{0.2, 0.3, 3}};
+
+    obs::StatRegistry wholeReg;
+    ServingSim whole(sc, ServingProfile::synthetic(), wholeReg, "s");
+    const ServingResult expect = whole.run(reqs);
+    ASSERT_GT(expect.shed, 0u);
+    ASSERT_GT(expect.failovers, 0u);
+    ASSERT_GT(expect.migrations, 0u);
+    ASSERT_GT(expect.violationsDegraded, 0u);
+    const std::string expectDump = dumpRegistry(wholeReg);
+
+    struct Split {
+        size_t chunk;
+        const char *threads;
+    };
+    for (const Split &sp : {Split{1, "1"}, Split{7, "2"},
+                            Split{4096, "3"}, Split{reqs.size(), "8"}}) {
+        setenv("XISA_BENCH_THREADS", sp.threads, 1);
+        obs::StatRegistry reg;
+        ServingSim sim(sc, ServingProfile::synthetic(), reg, "s");
+        sim.begin();
+        for (size_t at = 0; at < reqs.size(); at += sp.chunk)
+            sim.feed(std::span<const Request>(reqs).subspan(
+                at, std::min(sp.chunk, reqs.size() - at)));
+        const std::string what = "chunk " + std::to_string(sp.chunk);
+        expectSameResult(sim.finish(), expect, what);
+        EXPECT_EQ(dumpRegistry(reg), expectDump) << what;
+    }
+
+    // Two scenarios fed side by side equal two separate runs.
+    ServingConfig other = twoNodeConfig(4);
+    other.crashes = {{1, 0.25, 30.0}};
+    obs::StatRegistry sepReg;
+    ServingSim sepA(sc, ServingProfile::synthetic(), sepReg, "a");
+    ServingSim sepB(other, ServingProfile::synthetic(), sepReg, "b");
+    const ServingResult ra = sepA.run(reqs);
+    const ServingResult rb = sepB.run(reqs);
+    obs::StatRegistry reg;
+    ServingSim a(sc, ServingProfile::synthetic(), reg, "a");
+    ServingSim b(other, ServingProfile::synthetic(), reg, "b");
+    a.begin();
+    b.begin();
+    for (size_t at = 0; at < reqs.size(); at += 4096)
+        ServingSim::feedAll({&a, &b},
+                            std::span<const Request>(reqs).subspan(
+                                at, std::min<size_t>(4096,
+                                                     reqs.size() - at)));
+    unsetenv("XISA_BENCH_THREADS");
+    expectSameResult(a.finish(), ra, "side by side a");
+    expectSameResult(b.finish(), rb, "side by side b");
+    EXPECT_EQ(dumpRegistry(reg), dumpRegistry(sepReg));
 }
 
 TEST(Traffic, ServingBytesIdenticalAcrossWorkerCounts)
