@@ -17,6 +17,12 @@
  * byte-identical output, and the auditor's recovery checks stay armed
  * throughout.
  *
+ * With --calibrate it instead runs the live calibration
+ * (JobProfileTable::measure and ServingProfile::measure). Experiments
+ * read the checked-in tables, so this is where perturbed schedules
+ * still reach the calibration runs; a perturbed measurement may
+ * differ from the table, so only a clean audit is asked of it.
+ *
  * Any invariant violation panics with a replay line; a clean run prints
  * one summary line and exits 0.
  */
@@ -34,6 +40,8 @@
 #include "os/os.hh"
 #include "sched/cluster.hh"
 #include "sched/jobsets.hh"
+#include "sched/profile.hh"
+#include "traffic/traffic.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "workload/workloads.hh"
@@ -217,11 +225,14 @@ main(int argc, char **argv)
 {
     bool skipOs = false;
     bool crashOnly = false;
+    bool calibrateOnly = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--dsm-only") == 0)
             skipOs = true;
         if (std::strcmp(argv[i], "--crash") == 0)
             crashOnly = true;
+        if (std::strcmp(argv[i], "--calibrate") == 0)
+            calibrateOnly = true;
     }
 
     if (!check::auditRequested())
@@ -229,6 +240,18 @@ main(int argc, char **argv)
                      "[audit_probe] warning: XISA_AUDIT not set; "
                      "running without the auditor\n");
     const uint64_t seed = check::SchedulePerturber::envSeed();
+
+    if (calibrateOnly) {
+        const JobProfileTable table = JobProfileTable::measure();
+        const traffic::ServingProfile prof =
+            traffic::ServingProfile::measure();
+        std::printf("[audit_probe] clean seed=%llu cg_xeno_s=%a "
+                    "migrate_s=%a\n",
+                    static_cast<unsigned long long>(seed),
+                    table.baseSeconds(WorkloadId::CG, IsaId::Xeno64),
+                    prof.migrateSeconds);
+        return 0;
+    }
 
     if (crashOnly) {
         uint64_t crashChecks = crashRecovery(seed);

@@ -907,21 +907,6 @@ DsmSpace::saveState(ByteWriter &w) const
         w.u64(vpage);
         w.u32(static_cast<uint32_t>(node));
     }
-    // Protocol counters. Without these a restored container's registry
-    // silently reported zeros -- the snapshot must carry the counts the
-    // pages embody.
-    w.u64(readFaults_.value());
-    w.u64(writeFaults_.value());
-    w.u64(invalidations_.value());
-    w.u64(pageTransfers_.value());
-    w.u64(bytesTransferred_.value());
-    w.u64(extraCycles_.value());
-    for (const NodeStats &ns : nodeStats_) {
-        w.u64(ns.readFaults.value());
-        w.u64(ns.writeFaults.value());
-        w.u64(ns.invalidations.value());
-        w.u64(ns.pagesIn.value());
-    }
 }
 
 void
@@ -949,22 +934,6 @@ DsmSpace::loadState(ByteReader &r)
     for (uint32_t i = 0; i < homeCount; ++i) {
         uint64_t vpage = r.u64();
         home_[vpage] = static_cast<int>(r.u32());
-    }
-    auto setCounter = [](obs::Counter &c, uint64_t v) {
-        c.reset();
-        c.add(v);
-    };
-    setCounter(readFaults_, r.u64());
-    setCounter(writeFaults_, r.u64());
-    setCounter(invalidations_, r.u64());
-    setCounter(pageTransfers_, r.u64());
-    setCounter(bytesTransferred_, r.u64());
-    setCounter(extraCycles_, r.u64());
-    for (NodeStats &ns : nodeStats_) {
-        setCounter(ns.readFaults, r.u64());
-        setCounter(ns.writeFaults, r.u64());
-        setCounter(ns.invalidations, r.u64());
-        setCounter(ns.pagesIn, r.u64());
     }
     flushAllTlbs();
     // A restored space starts from a fresh commit point: re-capture

@@ -139,8 +139,9 @@ class DsmSpace
     int numNodes() const { return numNodes_; }
     DsmMode mode() const { return mode_; }
 
-    /** Serialize every page, directory entry, home assignment, and
-     *  protocol counter (container checkpoints). */
+    /** Serialize every page, directory entry and home assignment
+     *  (container checkpoints carry the protocol counters with the
+     *  rest of the registry). */
     void saveState(ByteWriter &w) const;
     /** Restore a saveState() snapshot into this (fresh) space. */
     void loadState(ByteReader &r);

@@ -1,6 +1,7 @@
 #include "exp/config.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -367,6 +368,13 @@ Config::getDouble(const std::string &section, const std::string &key,
     double v = std::strtod(e->value.c_str(), &end);
     if (!end || *end != '\0' || e->value.empty())
         fail(e->line, "key '" + key + "' wants a number, got '" +
+                          e->value + "'");
+    // No consumer has a use for NaN or an infinity, and both slip
+    // through range checks written as `v < lo` (a NaN latency or an
+    // infinite oversubscription then stalls the event loop).
+    if (!std::isfinite(v))
+        fail(e->line, (section.empty() ? "" : "[" + section + "] ") +
+                          "key '" + key + "' wants a finite number, got '" +
                           e->value + "'");
     return v;
 }

@@ -21,9 +21,10 @@ namespace xisa {
 namespace {
 
 constexpr uint32_t kCkptMagic = 0x544b4358; // "XCKT"
-// v2: the DSM section carries the protocol counters, so a restored
-// container's DSM counters match the checkpointed one.
-constexpr uint32_t kCkptVersion = 2;
+// v3: every counter and gauge of the container's registry travels by
+// name, so a restored container's stats continue the checkpointed
+// run's (v2 carried only the DSM protocol counters).
+constexpr uint32_t kCkptVersion = 3;
 
 void
 writeContext(ByteWriter &w, const ThreadContext &ctx)
@@ -144,6 +145,24 @@ ReplicatedOS::checkpoint() const
 
     // Memory (all pages on every kernel, protocol state included).
     dsm_->saveState(w);
+
+    // Stats: every counter and gauge by name. Histograms restart empty,
+    // as the caches restart cold.
+    std::vector<std::pair<std::string, const obs::Stat *>> carried;
+    for (const auto &entry : stats_.snapshot()) {
+        const obs::Stat *st = stats_.find(entry.first);
+        if (st->kind() != obs::StatKind::Histogram)
+            carried.emplace_back(entry.first, st);
+    }
+    w.u32(static_cast<uint32_t>(carried.size()));
+    for (const auto &[name, st] : carried) {
+        w.str(name);
+        w.u8(static_cast<uint8_t>(st->kind()));
+        if (st->kind() == obs::StatKind::Counter)
+            w.u64(static_cast<const obs::Counter *>(st)->value());
+        else
+            w.f64(static_cast<const obs::Gauge *>(st)->value());
+    }
     return std::move(w.out);
 }
 
@@ -230,6 +249,28 @@ ReplicatedOS::restore(const std::vector<uint8_t> &bytes)
     exitCode_ = r.i64();
 
     dsm_->loadState(r);
+
+    // Stats the restoring container does not register (say, fault
+    // counters of a config it does not enable) are dropped.
+    for (uint32_t i = 0, n = r.u32(); i < n; ++i) {
+        const std::string name = r.str();
+        const auto kind = static_cast<obs::StatKind>(r.u8());
+        if (kind == obs::StatKind::Counter) {
+            const uint64_t v = r.u64();
+            if (obs::Counter *c = stats_.findCounter(name)) {
+                c->reset();
+                c->add(v);
+            }
+        } else if (kind == obs::StatKind::Gauge) {
+            const double v = r.f64();
+            obs::Stat *st = stats_.find(name);
+            if (st && st->kind() == obs::StatKind::Gauge)
+                static_cast<obs::Gauge *>(st)->set(v);
+        } else {
+            fatal("checkpoint stat '%s' has unknown kind %u",
+                  name.c_str(), static_cast<unsigned>(kind));
+        }
+    }
     if (!r.done())
         fatal("trailing garbage after checkpoint payload");
     loaded_ = true;

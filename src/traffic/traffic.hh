@@ -161,9 +161,10 @@ std::vector<Request> generateRequests(const TrafficConfig &cfg);
 
 /**
  * Per-ISA service costs of one REDIS request plus the disruption costs
- * of moving or losing a shard. calibrate() measures them by running
- * the real workload through the full stack; synthetic() returns fixed
- * numbers with the same shape for fast unit tests.
+ * of moving or losing a shard. measure() derives them by running the
+ * real workload through the full stack, calibrate() returns the
+ * checked-in result of measure(), and synthetic() returns fixed
+ * numbers with the same shape for unit tests.
  */
 struct ServingProfile {
     /** Seconds to serve one GET/SET, indexed by IsaId. */
@@ -181,15 +182,21 @@ struct ServingProfile {
     int coldRequests = 256;
 
     /**
+     * The calibrated profile: the checked-in result of measure(), bit
+     * for bit (the calibration ctest re-runs measure() and prints a
+     * replacement if they differ). Costs nothing at run time.
+     */
+    static ServingProfile calibrate();
+    /**
      * Execute REDIS class A through the interpreter on each ISA for
      * the per-op costs, and measure migrateSeconds from a real
      * cross-ISA ReplicatedOS live migration of that binary.
-     * Deterministic (pure simulation); one-time cost of a few
-     * interpreter runs.
+     * Deterministic (pure simulation); three interpreter runs through
+     * exp::runSweep. The recompute oracle behind calibrate().
      */
-    static ServingProfile calibrate();
+    static ServingProfile measure();
     /** Fixed plausible values (Xeno ~25 us GET, Aether ~3x); for unit
-     *  tests that should not pay for calibration. */
+     *  tests that should not depend on the cost model. */
     static ServingProfile synthetic();
 };
 

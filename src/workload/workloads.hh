@@ -43,6 +43,9 @@ enum class WorkloadId {
     BZIP, VERUS, REDIS,
 };
 
+/** Number of workloads (array sizing helper, like kNumIsas). */
+constexpr int kNumWorkloads = static_cast<int>(WorkloadId::REDIS) + 1;
+
 /** NPB-style problem classes. */
 enum class ProblemClass { A, B, C };
 

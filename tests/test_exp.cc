@@ -147,6 +147,29 @@ TEST(Config, TypedGetterRejectsMalformedValues)
     EXPECT_THROW(c.getBool("", "b", false), ConfigError);
 }
 
+TEST(Config, DoubleGetterRejectsNonFiniteNamingTheLine)
+{
+    Config c = Config::parseString(
+        "g = inf\n[net]\nlatency_us = nan\n[topology]\n"
+        "tor_oversub = -inf\nrack_hop_us = 1e999\n",
+        "t");
+    auto expectFailAt = [&](const std::string &section,
+                            const std::string &key,
+                            const std::string &where) {
+        try {
+            c.getDouble(section, key, 1.0);
+            ADD_FAILURE() << key << " was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(std::string(e.what()).rfind(where, 0), 0u)
+                << e.what();
+        }
+    };
+    expectFailAt("", "g", "t:1: key 'g' wants a finite number");
+    expectFailAt("net", "latency_us", "t:3: [net] key 'latency_us'");
+    expectFailAt("topology", "tor_oversub", "t:5: [topology]");
+    expectFailAt("topology", "rack_hop_us", "t:6: [topology]");
+}
+
 TEST(Config, RequireThrowsOnMissing)
 {
     Config c = Config::parseString("x = 1\n", "t");

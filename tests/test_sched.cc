@@ -29,7 +29,7 @@ table()
     return t;
 }
 
-/** One shared *real* calibration for the JobProfile tests. */
+/** The real (checked-in) calibration for the JobProfile tests. */
 const JobProfileTable &
 calibrated()
 {
@@ -50,10 +50,10 @@ TEST(JobProfile, ArmIsSlowerThanX86ForEveryWorkload)
 
 TEST(JobProfile, CalibrateMatchesSerialLoop)
 {
-    // calibrate() spreads its runs over the sweep workers; the table
+    // measure() spreads its runs over the sweep workers; the table
     // must equal a plain serial loop over the same runs bit for bit.
     setenv("XISA_BENCH_THREADS", "4", 1);
-    JobProfileTable parallel = JobProfileTable::calibrate();
+    JobProfileTable parallel = JobProfileTable::measure();
     unsetenv("XISA_BENCH_THREADS");
     for (WorkloadId wl : allWorkloads()) {
         MultiIsaBinary bin =

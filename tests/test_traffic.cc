@@ -387,14 +387,14 @@ TEST(Traffic, ServingBytesIdenticalAcrossWorkerCounts)
 
 TEST(Traffic, CalibrateMatchesSerialLoop)
 {
-    // calibrate() runs its three simulations through the sweep driver;
+    // measure() runs its three simulations through the sweep driver;
     // at one worker that is a plain serial loop, and four workers must
     // give the same profile bit for bit.
     ServingProfile p[2];
     const char *threads[2] = {"1", "4"};
     for (int i = 0; i < 2; ++i) {
         setenv("XISA_BENCH_THREADS", threads[i], 1);
-        p[i] = ServingProfile::calibrate();
+        p[i] = ServingProfile::measure();
     }
     unsetenv("XISA_BENCH_THREADS");
     EXPECT_EQ(p[0].getSeconds, p[1].getSeconds);

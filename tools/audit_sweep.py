@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Seeded perturbation sweep with the invariant auditor armed.
 
-For each seed, runs the audit probe and the Fig. 12/13 scheduling
-studies with XISA_AUDIT=1 and XISA_PERTURB=<seed>: the perturber
+For each seed, runs the audit probe, the live calibration runs and the
+Fig. 12/13 scheduling studies with XISA_AUDIT=1 and XISA_PERTURB=<seed>: the perturber
 reshapes interconnect delivery, migration timing, and crash instants,
 and the auditor panics on the first violated invariant with a replay
 line identifying the seed. This is how the latent-bug hunt is mechanized
@@ -38,6 +38,8 @@ def require(path, why):
 
 def commands(build_dir, crash, confs_dir=None, fleet=False):
     """The per-seed command matrix: probe first (fast, focussed), then
+    the live calibration runs (the probe's --calibrate leg: experiments
+    read the checked-in profiles, so only this leg executes them), then
     the paper's scheduling studies in quick mode (Fig. 12 through
     xisa_exp and its checked-in conf, Fig. 13 through its bench). With
     --crash the matrix is the node-failure recovery scenario instead:
@@ -46,19 +48,20 @@ def commands(build_dir, crash, confs_dir=None, fleet=False):
     DIR, every .conf in DIR runs through xisa_exp under the same
     audit/perturb environment, so config-driven experiments join the
     hunt. With --fleet the matrix is the 1000-machine rack-outage conf
-    alone: each seed reshapes the request stream (the runner folds
-    XISA_PERTURB into the traffic seed) against the same outage plan,
-    with the auditor armed throughout. Confs are found relative to the
-    repo root, so run from there."""
+    alone, after the calibration leg: each seed reshapes the request
+    stream (the runner folds XISA_PERTURB into the traffic seed)
+    against the same outage plan, with the auditor armed throughout.
+    Confs are found relative to the repo root, so run from there."""
     probe = os.path.join(build_dir, "src", "check", "audit_probe")
     runner = os.path.join(build_dir, "src", "exp", "xisa_exp")
     confs = os.path.join("examples", "confs")
+    require(probe, "build the audit_probe target")
+    calibrate = ("calibrate", [probe, "--calibrate"])
     if fleet:
         require(runner, "build the xisa_exp target")
         conf = require(os.path.join(confs, "fleet_rack_outage.conf"),
                        "run from the repo root")
-        return [("fleet_rack_outage", [runner, conf])]
-    require(probe, "build the audit_probe target")
+        return [calibrate, ("fleet_rack_outage", [runner, conf])]
     if crash:
         bench = require(os.path.join(build_dir, "bench",
                                      "bench_fault_sustained"),
@@ -72,6 +75,7 @@ def commands(build_dir, crash, confs_dir=None, fleet=False):
                                  "bench_fig13_periodic"),
                     "build the bench_fig13_periodic target")
     cmds = [("audit_probe", [probe]),
+            calibrate,
             ("fig12", [runner, fig12]),
             ("fig13", [fig13])]
     if confs_dir:
@@ -138,7 +142,8 @@ def main():
                     help="also sweep every experiment .conf in DIR "
                          "through xisa_exp (ignored with --crash)")
     ap.add_argument("--fleet", action="store_true",
-                    help="sweep the 1000-machine rack-outage conf "
+                    help="sweep the live calibration and the "
+                         "1000-machine rack-outage conf "
                          "(fleet_rack_outage.conf) instead of the "
                          "default matrix; takes precedence over "
                          "--crash/--confs")
